@@ -16,7 +16,7 @@ from pathlib import Path
 
 from clsd.evaluator import disagreement, evaluate, pivot_dataset
 from clsd.providers import LexicalEmbedder, ProviderConfig, make_translator
-from clsd.records import load_clsd_dataset, save_pivot_dataset
+from clsd.records import load_clsd_dataset, save_clsd_dataset
 
 OUT = Path("demo_output")
 dataset_path = OUT / "dataset.jsonl"
@@ -30,7 +30,7 @@ translator = make_translator(
 )
 pivoted, skipped = pivot_dataset(instances, translator, pivot_lang="en")
 print(f"pivoted {len(pivoted)} instances, skipped {len(skipped)}")
-save_pivot_dataset(pivoted, OUT / "pivot.jsonl")
+save_clsd_dataset(pivoted, OUT / "pivot.jsonl")
 
 embedder = LexicalEmbedder(1024)
 direct = evaluate(embedder, instances, dataset_id="demo")

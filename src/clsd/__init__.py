@@ -23,17 +23,14 @@ from .records import (
     ClsdInstance,
     DiffAnnotation,
     ParallelPair,
-    PivotInstance,
     Sentence,
     ValidationReport,
     load_annotations,
     load_clsd_dataset,
     load_parallel_corpus,
-    load_pivot_dataset,
     save_annotations,
     save_clsd_dataset,
     save_parallel_corpus,
-    save_pivot_dataset,
     validate_dataset,
 )
 from .textmetrics import (
@@ -78,7 +75,6 @@ from .evaluator import (
     load_eval_report,
     pivot_dataset,
     save_eval_report,
-    score_instance,
 )
 from .analysis import (
     NormalizationFactor,
@@ -109,15 +105,12 @@ __all__ = [
     "Sentence",
     "ParallelPair",
     "ClsdInstance",
-    "PivotInstance",
     "DiffAnnotation",
     "ValidationReport",
     "load_parallel_corpus",
     "save_parallel_corpus",
     "load_clsd_dataset",
     "save_clsd_dataset",
-    "load_pivot_dataset",
-    "save_pivot_dataset",
     "load_annotations",
     "save_annotations",
     "validate_dataset",
@@ -151,7 +144,6 @@ __all__ = [
     "InstanceResult",
     "EvalReport",
     "cosine",
-    "score_instance",
     "evaluate",
     "save_eval_report",
     "load_eval_report",

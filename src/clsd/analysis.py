@@ -27,15 +27,10 @@ import numpy as np
 from .errors import DataError
 from .evaluator import EvalReport, cosine
 from .providers import Embedder
-from .records import (
-    ClsdInstance,
-    DiffAnnotation,
-    PivotInstance,
-    Sentence,
-    _write_atomic_text,
-)
+from .records import ClsdInstance, DiffAnnotation, Sentence, _write_atomic_text
 from .textmetrics import (
     DEFAULT_BIN_EDGES,
+    bin_index,
     levenshtein_similarity,
     single_token_diff,
     validate_edges,
@@ -344,10 +339,6 @@ def mono_cross_correlation(table: ShiftTable, group: str = ANY_GROUP) -> float:
 # ---------------------------------------------------------------------------
 # Successful-distractor distribution over edit-similarity bins
 
-def _item_id(instance: ClsdInstance | PivotInstance) -> str:
-    return instance.original_id if isinstance(instance, PivotInstance) else instance.id
-
-
 @dataclass(frozen=True)
 class SuccessDistributionTable:
     """Edit-similarity histogram of all distractors and the successful ones.
@@ -377,7 +368,7 @@ class SuccessDistributionTable:
 
 def success_distribution(
     report: EvalReport,
-    dataset: Sequence[ClsdInstance] | Sequence[PivotInstance],
+    dataset: Sequence[ClsdInstance],
     edges: Sequence[Sequence[float]] = DEFAULT_BIN_EDGES,
 ) -> SuccessDistributionTable:
     """Bin distractors by edit similarity to the target; count successes.
@@ -385,10 +376,10 @@ def success_distribution(
     A distractor succeeds iff its reported source similarity is at least the
     target's, so an instance fails exactly when one of its distractors
     succeeds here. Bin totals cover all distractors; percentages cover the
-    successful ones only.
+    successful ones only. A similarity above the topmost bin is an error.
     """
     checked = validate_edges(edges)
-    by_id = {_item_id(inst): inst for inst in dataset}
+    by_id = {inst.id: inst for inst in dataset}
     report_ids = {r.instance_id for r in report.results}
     if report_ids != set(by_id):
         raise DataError("report and dataset cover different instance ids")
@@ -401,12 +392,9 @@ def success_distribution(
     for result in report.results:
         inst = by_id[result.instance_id]
         for i, distractor in enumerate(inst.distractors):
-            similarity = levenshtein_similarity(distractor.text, inst.target.text)
-            idx = None
-            for b, (lo, hi) in enumerate(checked):
-                if lo <= similarity < hi or (b == 0 and similarity == hi):
-                    idx = b
-                    break
+            idx = bin_index(
+                levenshtein_similarity(distractor.text, inst.target.text), checked
+            )
             succeeded = result.sim_distractors[i] >= result.sim_target
             if idx is None:
                 underflow_total += 1

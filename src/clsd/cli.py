@@ -200,15 +200,20 @@ def _generation_config(config: RunConfig) -> gen.GenerationConfig:
 def _embedder(
     backend: str | None, config: RunConfig
 ) -> prov.LexicalEmbedder | prov.ServiceEmbedder:
-    """Build the embedding backend; the --backend flag beats the config."""
+    """Build the embedding backend; the --backend flag beats the config.
+
+    A ``lexical[:dim]`` spec gives the same offline embedder on both routes.
+    """
     if backend is not None:
-        if backend == "lexical":
-            return prov.LexicalEmbedder()
-        if backend.startswith("lexical:"):
-            return prov.LexicalEmbedder(dim=int(backend.split(":", 1)[1]))
-        raise DataError(f"unknown backend {backend!r}: expected lexical[:dim]")
+        dim = prov.lexical_dim(backend)
+        if dim is None:
+            raise DataError(f"unknown backend {backend!r}: expected lexical[:dim]")
+        return prov.LexicalEmbedder(dim)
     if config.embedding is None:
         raise DataError("no embedding backend: pass --backend or a config with 'embedding'")
+    dim = prov.lexical_dim(config.embedding.endpoint)
+    if dim is not None:
+        return prov.LexicalEmbedder(dim)
     cache_dir = os.environ.get(CACHE_DIR_ENV) or config.cache_dir
     cache = prov.EmbeddingCache(cache_dir) if cache_dir else None
     return prov.ServiceEmbedder(config.embedding, cache=cache)
@@ -251,12 +256,6 @@ def _load_config_arg(path: str | None) -> RunConfig:
     return load_run_config(path) if path else RunConfig()
 
 
-def _load_any_dataset(path: str):
-    if rec.is_pivot_dataset(path):
-        return rec.load_pivot_dataset(path)
-    return rec.load_clsd_dataset(path)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -290,10 +289,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    if rec.is_pivot_dataset(args.dataset):
-        instances = rec.load_pivot_dataset(args.dataset)
-        print(f"n_records={len(instances)} errors=0 warnings=0")
-        return 0
     report = rec.validate_dataset(rec.load_clsd_dataset(args.dataset))
     for record_id, message in report.errors:
         print(f"error: {record_id}: {message}", file=sys.stderr)
@@ -323,7 +318,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     config = _load_config_arg(args.config)
-    dataset = _load_any_dataset(args.dataset)
+    dataset = rec.load_clsd_dataset(args.dataset)
     embedder = _embedder(args.backend, config)
     report = ev.evaluate(embedder, dataset, dataset_id=Path(args.dataset).stem)
     out = Path(args.out)
@@ -341,7 +336,7 @@ def _cmd_pivot(args: argparse.Namespace) -> int:
     translator = prov.make_translator(config.translation)
     instances, skipped = ev.pivot_dataset(dataset, translator, args.pivot_lang)
     out = Path(args.out)
-    rec.save_pivot_dataset(instances, out)
+    rec.save_clsd_dataset(instances, out)
     _write_manifest(out, "pivot", {"dataset": args.dataset}, args.config, None)
     print(f"pivoted {len(instances)} instances, skipped {len(skipped)}")
     for instance_id, reason in skipped:
@@ -439,7 +434,7 @@ def _cmd_shift(args: argparse.Namespace) -> int:
 def _cmd_bins(args: argparse.Namespace) -> int:
     config = _load_config_arg(args.config)
     report = ev.load_eval_report(args.report)
-    dataset = _load_any_dataset(args.dataset)
+    dataset = rec.load_clsd_dataset(args.dataset)
     edges = config.bin_edges or DEFAULT_BIN_EDGES
     table = ana.success_distribution(report, dataset, edges)
     out = Path(args.out)

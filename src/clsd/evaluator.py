@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .providers import Embedder, EmbeddingVector
-from .records import ClsdInstance, PivotInstance, Sentence, _write_atomic_text
+from .providers import Embedder, EmbeddingVector, Translator
+from .records import ClsdInstance, Sentence, _write_atomic_text
 
 MODE_DIRECT = "direct"
 MODE_PIVOT = "pivot"
@@ -91,7 +91,7 @@ class EvalReport:
         return frozenset(r.instance_id for r in self.results if r.success)
 
 
-def _candidate_texts(instance: ClsdInstance | PivotInstance) -> list[str]:
+def _candidate_texts(instance: ClsdInstance) -> list[str]:
     return [instance.source.text, instance.target.text] + [
         d.text for d in instance.distractors
     ]
@@ -111,37 +111,18 @@ def _result_from_sims(
     )
 
 
-def _instance_id(instance: ClsdInstance | PivotInstance) -> str:
-    return (
-        instance.original_id
-        if isinstance(instance, PivotInstance)
-        else instance.id
-    )
-
-
-def score_instance(
-    embedder: Embedder, instance: ClsdInstance | PivotInstance
-) -> InstanceResult:
-    """Score one instance; a tie with any distractor is a failure."""
-    texts = _candidate_texts(instance)
-    vectors = embedder.embed(texts)
-    source = vectors[0]
-    sims = [cosine(source, v) for v in vectors[1:]]
-    return _result_from_sims(_instance_id(instance), sims[0], sims[1:])
-
-
 def evaluate(
     embedder: Embedder,
-    dataset: Sequence[ClsdInstance] | Sequence[PivotInstance],
+    dataset: Sequence[ClsdInstance],
     dataset_id: str = "dataset",
 ) -> EvalReport:
-    """Score every instance; all embeddings are fetched in one batch."""
+    """Score every instance, ties failing; all embeddings are fetched in one batch."""
     if not dataset:
         raise DataError("evaluate requires a non-empty dataset")
-    kinds = {isinstance(inst, PivotInstance) for inst in dataset}
+    kinds = {inst.pivot_lang is None for inst in dataset}
     if len(kinds) != 1:
         raise DataError("dataset mixes direct and pivot instances")
-    mode = MODE_PIVOT if kinds.pop() else MODE_DIRECT
+    mode = MODE_DIRECT if kinds.pop() else MODE_PIVOT
 
     unique_texts = list(
         dict.fromkeys(t for inst in dataset for t in _candidate_texts(inst))
@@ -153,7 +134,7 @@ def evaluate(
         texts = _candidate_texts(inst)
         source = by_text[texts[0]]
         sims = [cosine(source, by_text[t]) for t in texts[1:]]
-        results.append(_result_from_sims(_instance_id(inst), sims[0], sims[1:]))
+        results.append(_result_from_sims(inst.id, sims[0], sims[1:]))
 
     return EvalReport(
         dataset_id=dataset_id,
@@ -221,19 +202,17 @@ def load_eval_report(path: str | Path) -> EvalReport:
         raise DataError(f"{path}: malformed eval report: {exc}") from exc
 
 
-Translator = Callable[[Sequence[str], str, str], list[str]]
-
-
 def pivot_dataset(
     dataset: Sequence[ClsdInstance],
     translator: Translator,
     pivot_lang: str,
-) -> tuple[list[PivotInstance], list[tuple[str, str]]]:
+) -> tuple[list[ClsdInstance], list[tuple[str, str]]]:
     """Translate all six sentences of each instance into ``pivot_lang``.
 
     Translation runs per instance, batched per source language (one call for
     the source, one for the five target-language candidates), so a failure
     is attributable: the instance is skipped and logged, never half-built.
+    Pivot instances keep the original id and carry no meta.
     Returns (pivot instances, [(instance_id, reason), ...] for skips).
     """
     if not dataset:
@@ -244,7 +223,7 @@ def pivot_dataset(
         raise DataError(
             f"pivot language {pivot_lang!r} must differ from both dataset languages"
         )
-    out: list[PivotInstance] = []
+    out: list[ClsdInstance] = []
     skipped: list[tuple[str, str]] = []
     for inst in dataset:
         candidates = [inst.target.text] + [d.text for d in inst.distractors]
@@ -259,14 +238,14 @@ def pivot_dataset(
             skipped.append((inst.id, str(exc)))
             continue
         out.append(
-            PivotInstance(
-                original_id=inst.id,
-                pivot_lang=pivot_lang,
+            ClsdInstance(
+                id=inst.id,
                 source=Sentence(text=source_text, lang=pivot_lang),
                 target=Sentence(text=translated[0], lang=pivot_lang),
                 distractors=tuple(
                     Sentence(text=t, lang=pivot_lang) for t in translated[1:]
                 ),
+                pivot_lang=pivot_lang,
             )
         )
     return out, skipped

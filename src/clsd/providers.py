@@ -14,7 +14,8 @@ Offline endpoint schemes, used by tests and desk-scale runs:
 * ``replay:<file.jsonl>`` (chat): each line ``{"key", "content"}``; the key is
   matched against the final user message verbatim.
 * ``identity:`` (translation): returns inputs unchanged.
-* ``lexical:<dim>`` (embedding): the built-in character n-gram embedder.
+* ``lexical`` / ``lexical:<dim>`` (embedding): the built-in character n-gram
+  embedder, :class:`LexicalEmbedder`; :func:`lexical_dim` parses the spec.
 
 API keys are read from the environment variable named in the config and are
 never written to disk. Batch operations preserve input order regardless of
@@ -238,9 +239,6 @@ def embed_batch(
         raise DataError(f"embed_batch needs an embedding config, got {cfg.kind!r}")
     if not texts:
         raise DataError("embed_batch called with no texts")
-    if cfg.endpoint.startswith("lexical:"):
-        dim = int(cfg.endpoint.split(":", 1)[1] or DEFAULT_LEXICAL_DIM)
-        return [lexical_embed(t, dim) for t in texts]
 
     backend_id = cfg.endpoint
     by_text: dict[str, np.ndarray] = {}
@@ -310,6 +308,21 @@ _BOUNDARY = "\x00"
 def _lexical_bucket(gram: str, dim: int) -> int:
     digest = hashlib.sha256(_LEXICAL_HASH_SEED + gram.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % dim
+
+
+def lexical_dim(spec: str) -> int | None:
+    """Dimension named by a ``lexical`` / ``lexical:<dim>`` spec, else ``None``.
+
+    ``lexical`` and ``lexical:`` mean :data:`DEFAULT_LEXICAL_DIM`.
+    """
+    scheme, _, dim = spec.partition(":")
+    if scheme != "lexical":
+        return None
+    if not dim:
+        return DEFAULT_LEXICAL_DIM
+    if not dim.isdecimal():
+        raise DataError(f"bad lexical spec {spec!r}: expected lexical[:dim]")
+    return int(dim)
 
 
 def lexical_embed(text: str, dim: int = DEFAULT_LEXICAL_DIM) -> EmbeddingVector:
@@ -474,10 +487,3 @@ def make_translator(cfg: ProviderConfig, transport: Transport | None = None) -> 
         return translate_batch(cfg, texts, src, tgt, transport=transport)
 
     return translate
-
-
-def identity_translator(texts: Sequence[str], src: str, tgt: str) -> list[str]:
-    """Test double: returns inputs unchanged (languages still must differ)."""
-    if src == tgt:
-        raise DataError(f"translation requires src != tgt, got {src!r} twice")
-    return list(texts)

@@ -16,8 +16,12 @@ adversarial distractors in the target language)::
     {"id": "...", "src_lang": "de", "tgt_lang": "fr", "source": "...",
      "target": "...", "distractors": ["...", "...", "...", "..."], "meta": {...}}
 
-Pivot dataset: same keys plus ``"pivot_lang"`` and ``"original_id"``;
-``src_lang`` and ``tgt_lang`` both equal the pivot language.
+A pivot record is a discrimination record whose six sentences were
+translated into one pivot language. It has the same keys and two optional
+ones after ``"meta"``: ``"pivot_lang"`` and ``"original_id"`` (equal to
+``"id"``). ``src_lang`` and ``tgt_lang`` both equal the pivot language, and
+``meta`` is empty. Both kinds load as :class:`ClsdInstance`; a pivot record
+has ``pivot_lang`` set.
 
 Token-swap annotations::
 
@@ -85,6 +89,9 @@ class ClsdInstance:
     Whether a distractor textually equals the target is checked at load time
     and by :func:`validate_dataset`, so that validation can report the
     violation instead of refusing to represent it.
+
+    ``pivot_lang`` is set on instances translated into a pivot language; all
+    six sentences are then in that language and ``id`` is the original id.
     """
 
     id: str
@@ -92,6 +99,7 @@ class ClsdInstance:
     target: Sentence
     distractors: tuple[Sentence, ...]
     meta: dict[str, str] = field(default_factory=dict)
+    pivot_lang: str | None = None
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -108,33 +116,13 @@ class ClsdInstance:
                     f"instance {self.id}: distractor language {d.lang!r} differs "
                     f"from target language {self.target.lang!r}"
                 )
-
-
-@dataclass(frozen=True)
-class PivotInstance:
-    """A discrimination instance with every sentence rendered in a pivot language."""
-
-    original_id: str
-    pivot_lang: str
-    source: Sentence
-    target: Sentence
-    distractors: tuple[Sentence, ...]
-
-    def __post_init__(self) -> None:
-        if not self.original_id:
-            raise DataError("pivot instance original_id is empty")
-        object.__setattr__(self, "distractors", tuple(self.distractors))
-        if len(self.distractors) != DISTRACTORS_PER_INSTANCE:
-            raise DataError(
-                f"pivot instance {self.original_id}: length(distractors)="
-                f"{DISTRACTORS_PER_INSTANCE} violated (got {len(self.distractors)})"
-            )
-        for s in (self.source, self.target, *self.distractors):
-            if s.lang != self.pivot_lang:
-                raise DataError(
-                    f"pivot instance {self.original_id}: sentence language "
-                    f"{s.lang!r} differs from pivot language {self.pivot_lang!r}"
-                )
+        if self.pivot_lang is not None:
+            for s in (self.source, self.target):
+                if s.lang != self.pivot_lang:
+                    raise DataError(
+                        f"instance {self.id}: sentence language {s.lang!r} "
+                        f"differs from pivot language {self.pivot_lang!r}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -281,21 +269,30 @@ def _instance_from_obj(obj: dict, ctx: str) -> ClsdInstance:
     ):
         raise DataError(f"{ctx}: key 'meta' is not a string-to-string object")
     tgt_lang = _str(obj, "tgt_lang", ctx)
+    pivot_lang = None
+    if "pivot_lang" in obj:
+        pivot_lang = _str(obj, "pivot_lang", ctx)
+        if _str(obj, "original_id", ctx) != _str(obj, "id", ctx):
+            raise DataError(f"{ctx}: original_id differs from id")
     instance = ClsdInstance(
         id=_str(obj, "id", ctx),
         source=Sentence(_str(obj, "source", ctx), _str(obj, "src_lang", ctx)),
         target=Sentence(_str(obj, "target", ctx), tgt_lang),
         distractors=tuple(Sentence(d, tgt_lang) for d in distractors),
         meta=dict(meta),
+        pivot_lang=pivot_lang,
     )
-    for d in instance.distractors:
-        if d.text == instance.target.text:
-            raise DataError(f"{ctx}: distractor equals target")
+    # A translator may map a distractor onto the target; the scorer counts
+    # that tie as a failure, so only direct records refuse it here.
+    if pivot_lang is None:
+        for d in instance.distractors:
+            if d.text == instance.target.text:
+                raise DataError(f"{ctx}: distractor equals target")
     return instance
 
 
 def load_clsd_dataset(path: str | Path) -> list[ClsdInstance]:
-    """Load a discrimination dataset in file order.
+    """Load a discrimination dataset, direct or pivot records, in file order.
 
     Raises :class:`DataError` naming the 1-based line for malformed lines and
     invariant violations; a loaded dataset always satisfies every instance
@@ -314,7 +311,7 @@ def load_clsd_dataset(path: str | Path) -> list[ClsdInstance]:
 
 
 def _instance_to_obj(instance: ClsdInstance) -> dict:
-    return {
+    obj = {
         "id": instance.id,
         "src_lang": instance.source.lang,
         "tgt_lang": instance.target.lang,
@@ -323,6 +320,10 @@ def _instance_to_obj(instance: ClsdInstance) -> dict:
         "distractors": [d.text for d in instance.distractors],
         "meta": dict(sorted(instance.meta.items())),
     }
+    if instance.pivot_lang is not None:
+        obj["pivot_lang"] = instance.pivot_lang
+        obj["original_id"] = instance.id
+    return obj
 
 
 def save_clsd_dataset(instances: Sequence[ClsdInstance], path: str | Path) -> None:
@@ -330,67 +331,10 @@ def save_clsd_dataset(instances: Sequence[ClsdInstance], path: str | Path) -> No
     _write_jsonl(Path(path), [_instance_to_obj(i) for i in instances])
 
 
-# ---------------------------------------------------------------------------
-# Pivot datasets
-
-def load_pivot_dataset(path: str | Path) -> list[PivotInstance]:
-    path = Path(path)
-    instances: list[PivotInstance] = []
-    for lineno, obj in _read_lines(path):
-        ctx = f"{path}:{lineno}"
-        try:
-            pivot_lang = _str(obj, "pivot_lang", ctx)
-            if not (_str(obj, "src_lang", ctx) == _str(obj, "tgt_lang", ctx) == pivot_lang):
-                raise DataError("src_lang and tgt_lang must equal pivot_lang")
-            distractors = _get(obj, "distractors", ctx)
-            if (
-                not isinstance(distractors, list)
-                or not all(isinstance(d, str) for d in distractors)
-                or len(distractors) != DISTRACTORS_PER_INSTANCE
-            ):
-                raise DataError(
-                    f"length(distractors)={DISTRACTORS_PER_INSTANCE} violated"
-                )
-            instances.append(
-                PivotInstance(
-                    original_id=_str(obj, "original_id", ctx),
-                    pivot_lang=pivot_lang,
-                    source=Sentence(_str(obj, "source", ctx), pivot_lang),
-                    target=Sentence(_str(obj, "target", ctx), pivot_lang),
-                    distractors=tuple(Sentence(d, pivot_lang) for d in distractors),
-                )
-            )
-        except DataError as exc:
-            msg = str(exc)
-            raise DataError(msg if msg.startswith(ctx) else f"{ctx}: {msg}") from exc
-    return instances
-
-
-def save_pivot_dataset(instances: Sequence[PivotInstance], path: str | Path) -> None:
-    _write_jsonl(
-        Path(path),
-        [
-            {
-                "id": p.original_id,
-                "src_lang": p.pivot_lang,
-                "tgt_lang": p.pivot_lang,
-                "source": p.source.text,
-                "target": p.target.text,
-                "distractors": [d.text for d in p.distractors],
-                "meta": {},
-                "pivot_lang": p.pivot_lang,
-                "original_id": p.original_id,
-            }
-            for p in instances
-        ],
-    )
-
-
-def is_pivot_dataset(path: str | Path) -> bool:
-    """Cheap sniff: does the first record carry a pivot_lang key?"""
-    for _, obj in _read_lines(Path(path)):
-        return "pivot_lang" in obj
-    return False
+# Pivot files are clsd datasets; these aliases keep the old names working for
+# callers that look them up by attribute, such as the benchmark harness.
+load_pivot_dataset = load_clsd_dataset
+save_pivot_dataset = save_clsd_dataset
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,9 @@ from clsd.records import (
     load_annotations,
     load_clsd_dataset,
     load_parallel_corpus,
-    load_pivot_dataset,
     save_annotations,
     save_clsd_dataset,
     save_parallel_corpus,
-    save_pivot_dataset,
 )
 from clsd.textmetrics import (
     TokenSeq,
@@ -303,13 +301,10 @@ def test_property_suite(capsys, tmp_path, fixture_instances, fixture_annotations
             ]
         )
         assert pivot_code == 0
-        save_pivot_dataset(
-            load_pivot_dataset(tmp_path / "p1.jsonl"), tmp_path / "p2.jsonl"
-        )
-        save_pivot_dataset(
-            load_pivot_dataset(tmp_path / "p2.jsonl"), tmp_path / "p3.jsonl"
-        )
-        assert (tmp_path / "p2.jsonl").read_bytes() == (tmp_path / "p3.jsonl").read_bytes()
+        pivoted = load_clsd_dataset(tmp_path / "p1.jsonl")
+        assert {inst.pivot_lang for inst in pivoted} == {"en"}
+        save_clsd_dataset(pivoted, tmp_path / "p2.jsonl")
+        assert (tmp_path / "p1.jsonl").read_bytes() == (tmp_path / "p2.jsonl").read_bytes()
 
         save_annotations(fixture_annotations, tmp_path / "a1.jsonl")
         save_annotations(

@@ -76,6 +76,28 @@ def read_manifest(out_path):
     )
 
 
+def pivot_row(id, distractors=None):
+    return {
+        "id": id,
+        "src_lang": "en",
+        "tgt_lang": "en",
+        "source": "The cat sleeps.",
+        "target": "The cat sleeps.",
+        "distractors": distractors or [f"The dog sleeps {i}." for i in range(4)],
+        "meta": {},
+        "pivot_lang": "en",
+        "original_id": id,
+    }
+
+
+def write_rows(path, rows):
+    path.write_text(
+        "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows),
+        encoding="utf-8",
+    )
+    return path
+
+
 class TestGenerate:
     def test_full_run(self, tmp_path, replay_path, fixture_instances, capsys):
         config = write_config(tmp_path / "cfg.json", replay=replay_path)
@@ -204,6 +226,21 @@ class TestValidate:
         assert run(["validate", "--dataset", str(twice)]) == 1
         assert "duplicate id" in capsys.readouterr().err
 
+    def test_pivot_file_is_checked(self, tmp_path, capsys):
+        rows = []
+        for k in range(3):
+            distractors = [f"The dog sleeps {k}{i}." for i in range(4)]
+            if k == 1:
+                distractors[2] = "The cat sleeps."
+            rows.append(pivot_row("same", distractors=distractors))
+        path = tmp_path / "pivot.jsonl"
+        write_rows(path, rows)
+        assert run(["validate", "--dataset", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "n_records=3 errors=3 warnings=0"
+        assert captured.err.count("duplicate id") == 2
+        assert captured.err.count("distractor equals target") == 1
+
 
 class TestStats:
     def test_writes_summary(self, tmp_path, dataset_path, capsys):
@@ -287,6 +324,43 @@ class TestEval:
         )
         assert code == 1
         assert "unknown backend" in capsys.readouterr().err
+
+    def test_mixed_direct_and_pivot_exit_1(self, tmp_path, dataset_path, capsys):
+        direct = json.loads(dataset_path.read_text(encoding="utf-8").splitlines()[0])
+        for name, rows in (("direct-first", [direct, pivot_row("x")]),
+                           ("pivot-first", [pivot_row("x"), direct])):
+            path = write_rows(tmp_path / f"{name}.jsonl", rows)
+            out = tmp_path / f"{name}.json"
+            code = run(
+                ["eval", "--dataset", str(path), "--backend", "lexical", "--out", str(out)]
+            )
+            assert code == 1, name
+            assert "dataset mixes direct and pivot instances" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "endpoint,dim", [("lexical", 512), ("lexical:", 512), ("lexical:64", 64)]
+    )
+    def test_config_lexical_endpoint_matches_backend_flag(
+        self, tmp_path, dataset_path, endpoint, dim
+    ):
+        config = write_config(
+            tmp_path / "cfg.json",
+            embedding={"endpoint": endpoint, "model_id": "ignored"},
+        )
+        via_config = tmp_path / "config.json"
+        via_flag = tmp_path / "flag.json"
+        for extra, out in ((["--config", str(config)], via_config),
+                           (["--backend", endpoint], via_flag)):
+            code = run(["eval", "--dataset", str(dataset_path), *extra, "--out", str(out)])
+            assert code == 0
+        report = load_eval_report(via_config)
+        assert (report.backend_id, report.model_id) == ("lexical", f"char3gram-{dim}")
+        assert via_config.read_bytes() == via_flag.read_bytes()
+        table = render_report([str(via_config), str(via_flag)], "csv")
+        assert table.splitlines()[1:] == [
+            f"direct,char3gram-{dim},{100 * report.p_at_1:.2f},{100 * report.p_at_1:.2f}"
+        ]
 
     def test_unreachable_endpoint_exit_2(self, tmp_path, dataset_path, capsys):
         config = write_config(
@@ -645,6 +719,23 @@ class TestBinsCommand:
         assert pct_sum == pytest.approx(100.0, abs=0.1)
         total = sum(int(r.split(",")[2]) for r in rows)
         assert total == 80
+
+    def test_top_edge_below_one_exit_1(self, tmp_path, dataset_path, capsys):
+        report_out = tmp_path / "report.json"
+        assert run(
+            ["eval", "--dataset", str(dataset_path), "--backend", "lexical",
+             "--out", str(report_out)]
+        ) == 0
+        config = write_config(tmp_path / "cfg.json", analysis={"bin_edges": [[0.5, 0.7]]})
+        out = tmp_path / "bins.csv"
+        code = run(
+            ["bins", "--report", str(report_out), "--dataset", str(dataset_path),
+             "--config", str(config), "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: value " in err and "above the topmost bin (0.5, 0.7)" in err
+        assert not out.exists()
 
     def test_no_successful_distractors_flagged(self, tmp_path, capsys):
         instance = ClsdInstance(

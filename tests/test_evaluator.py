@@ -16,10 +16,18 @@ from clsd.evaluator import (
     load_eval_report,
     pivot_dataset,
     save_eval_report,
-    score_instance,
 )
-from clsd.providers import EmbeddingVector, LexicalEmbedder, identity_translator
-from clsd.records import ClsdInstance, PivotInstance, Sentence
+from clsd.providers import (
+    EmbeddingVector,
+    LexicalEmbedder,
+    ProviderConfig,
+    make_translator,
+)
+from clsd.records import ClsdInstance, Sentence
+
+identity_translator = make_translator(
+    ProviderConfig(kind="translation", endpoint="identity:", model_id="identity-mt")
+)
 
 
 class DictEmbedder:
@@ -70,6 +78,17 @@ def crafted_instance(id, sim_target, sim_distractors, dim=8):
     return instance, mapping
 
 
+def crafted_pivot(id):
+    """Pivot instance over the texts of ``crafted_instance(id, ...)``."""
+    return ClsdInstance(
+        id=id,
+        source=Sentence(text=f"{id} src", lang="en"),
+        target=Sentence(text=f"{id} tgt", lang="en"),
+        distractors=tuple(Sentence(text=f"{id} d{k}", lang="en") for k in range(4)),
+        pivot_lang="en",
+    )
+
+
 class TestCosine:
     def test_orthogonal(self):
         assert cosine(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])) == 0.0
@@ -107,9 +126,11 @@ class TestCosine:
 
 
 class TestScoreInstance:
+    """Per-instance scoring through ``evaluate`` on a one-instance dataset."""
+
     def score(self, sim_target, sim_distractors):
         instance, mapping = crafted_instance("c1", sim_target, sim_distractors)
-        result = score_instance(DictEmbedder(mapping), instance)
+        (result,) = evaluate(DictEmbedder(mapping), [instance]).results
         assert result.sim_target == pytest.approx(sim_target, abs=1e-9)
         for got, wanted in zip(result.sim_distractors, sim_distractors):
             assert got == pytest.approx(wanted, abs=1e-9)
@@ -129,17 +150,9 @@ class TestScoreInstance:
 
     def test_pivot_instance_keeps_original_id(self):
         _, mapping = crafted_instance("orig-7", 0.9, [0.1, 0.1, 0.1, 0.1])
-        pivot = PivotInstance(
-            original_id="orig-7",
-            pivot_lang="en",
-            source=Sentence(text="orig-7 src", lang="en"),
-            target=Sentence(text="orig-7 tgt", lang="en"),
-            distractors=tuple(
-                Sentence(text=f"orig-7 d{k}", lang="en") for k in range(4)
-            ),
-        )
-        result = score_instance(DictEmbedder(mapping), pivot)
+        (result,) = evaluate(DictEmbedder(mapping), [crafted_pivot("orig-7")]).results
         assert result.instance_id == "orig-7"
+        assert (result.rank_of_target, result.success) == (1, True)
 
 
 class TestInstanceResult:
@@ -210,26 +223,14 @@ class TestEvaluate:
 
     def test_mixed_dataset_rejected(self):
         inst, mapping = crafted_instance("i0", 0.9, [0.1, 0.2, 0.3, 0.4])
-        pivot = PivotInstance(
-            original_id="i0",
-            pivot_lang="en",
-            source=Sentence(text="i0 src", lang="en"),
-            target=Sentence(text="i0 tgt", lang="en"),
-            distractors=tuple(Sentence(text=f"i0 d{k}", lang="en") for k in range(4)),
-        )
-        with pytest.raises(DataError, match="mixes"):
-            evaluate(DictEmbedder(mapping), [inst, pivot])
+        pivot = crafted_pivot("i0")
+        for mixed in ([inst, pivot], [pivot, inst]):
+            with pytest.raises(DataError, match="mixes"):
+                evaluate(DictEmbedder(mapping), mixed)
 
     def test_pivot_dataset_reports_pivot_mode(self):
         _, mapping = crafted_instance("i0", 0.9, [0.1, 0.2, 0.3, 0.4])
-        pivot = PivotInstance(
-            original_id="i0",
-            pivot_lang="en",
-            source=Sentence(text="i0 src", lang="en"),
-            target=Sentence(text="i0 tgt", lang="en"),
-            distractors=tuple(Sentence(text=f"i0 d{k}", lang="en") for k in range(4)),
-        )
-        report = evaluate(DictEmbedder(mapping), [pivot])
+        report = evaluate(DictEmbedder(mapping), [crafted_pivot("i0")])
         assert report.mode == MODE_PIVOT
         assert report.results[0].instance_id == "i0"
 
@@ -314,7 +315,8 @@ class TestPivotDataset:
         assert skipped == []
         assert len(pivoted) == len(dataset)
         for orig, piv in zip(dataset, pivoted):
-            assert piv.original_id == orig.id
+            assert piv.id == orig.id
+            assert piv.meta == {}
             assert piv.pivot_lang == "en"
             assert piv.source.text == orig.source.text
             assert piv.target.text == orig.target.text
@@ -336,7 +338,7 @@ class TestPivotDataset:
             return list(texts)
 
         pivoted, skipped = pivot_dataset(dataset, translate, "en")
-        assert [p.original_id for p in pivoted] == [dataset[0].id, dataset[2].id]
+        assert [p.id for p in pivoted] == [dataset[0].id, dataset[2].id]
         assert len(skipped) == 1
         assert skipped[0][0] == bad_id
         assert "count mismatch" in skipped[0][1]

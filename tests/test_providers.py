@@ -19,7 +19,7 @@ from clsd.providers import (
     _PermanentProviderError,
     chat_complete,
     embed_batch,
-    identity_translator,
+    lexical_dim,
     lexical_embed,
     make_translator,
     translate_batch,
@@ -181,6 +181,22 @@ class TestLexicalEmbedder:
         with pytest.raises(DataError):
             LexicalEmbedder(dim=7)
 
+    def test_lexical_endpoint_needs_no_transport(self):
+        cfg = embedding_config(endpoint="lexical:32")
+        vectors = LexicalEmbedder(lexical_dim(cfg.endpoint)).embed(["eins", "zwei"])
+        assert [v.dim for v in vectors] == [32, 32]
+        assert vectors[0].backend_id == "lexical"
+
+    def test_lexical_dim_parses_specs(self):
+        assert lexical_dim("lexical:32") == 32
+        assert lexical_dim("lexical") == DEFAULT_LEXICAL_DIM
+        assert lexical_dim("lexical:") == DEFAULT_LEXICAL_DIM
+        for other in ("https://svc.test/v1/embeddings", "identity:", "lexicalx:8"):
+            assert lexical_dim(other) is None
+        for bad in ("lexical:abc", "lexical:-8", "lexical:8.5"):
+            with pytest.raises(DataError, match="bad lexical spec"):
+                lexical_dim(bad)
+
     def test_embedder_object_metadata(self):
         emb = LexicalEmbedder(dim=64)
         assert (emb.backend_id, emb.model_id) == ("lexical", "char3gram-64")
@@ -250,12 +266,6 @@ class TestEmbedBatch:
         transport = RecordingTransport([respond])
         with pytest.raises(ProviderError, match="dimension mismatch"):
             embed_batch(embedding_config(max_batch=8), ["a", "b"], transport=transport)
-
-    def test_lexical_endpoint_needs_no_transport(self):
-        cfg = embedding_config(endpoint="lexical:32")
-        vectors = embed_batch(cfg, ["eins", "zwei"])
-        assert [v.dim for v in vectors] == [32, 32]
-        assert vectors[0].backend_id == "lexical"
 
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
@@ -424,7 +434,7 @@ class TestTranslateBatch:
         with pytest.raises(DataError):
             translate_batch(cfg, ["x"], "fr", "fr")
         with pytest.raises(DataError):
-            identity_translator(["x"], "fr", "fr")
+            make_translator(cfg)(["x"], "fr", "fr")
 
     def test_chunked_payloads(self):
         def respond(payload):

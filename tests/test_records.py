@@ -10,17 +10,13 @@ from clsd.records import (
     ClsdInstance,
     DiffAnnotation,
     ParallelPair,
-    PivotInstance,
     Sentence,
-    is_pivot_dataset,
     load_annotations,
     load_clsd_dataset,
     load_parallel_corpus,
-    load_pivot_dataset,
     save_annotations,
     save_clsd_dataset,
     save_parallel_corpus,
-    save_pivot_dataset,
     validate_dataset,
 )
 
@@ -84,16 +80,18 @@ class TestPairAndInstance:
             )
 
     def test_pivot_instance_requires_uniform_language(self):
-        with pytest.raises(DataError):
-            PivotInstance(
-                original_id="x1",
-                pivot_lang="en",
-                source=Sentence(text="The cat sleeps.", lang="en"),
-                target=Sentence(text="Le chat dort.", lang="fr"),
-                distractors=tuple(
-                    Sentence(text=f"The dog sleeps {i}.", lang="en") for i in range(4)
-                ),
-            )
+        for src_lang, tgt_lang in (("en", "fr"), ("fr", "en")):
+            with pytest.raises(DataError, match="pivot language 'en'"):
+                ClsdInstance(
+                    id="x1",
+                    source=Sentence(text="The cat sleeps.", lang=src_lang),
+                    target=Sentence(text="Le chat dort.", lang=tgt_lang),
+                    distractors=tuple(
+                        Sentence(text=f"The dog sleeps {i}.", lang=tgt_lang)
+                        for i in range(4)
+                    ),
+                    pivot_lang="en",
+                )
 
 
 class TestDiffAnnotation:
@@ -238,30 +236,101 @@ class TestDatasetIO:
         assert loaded.distractors[0].text != loaded.target.text
 
 
-class TestPivotIO:
-    def make_pivot(self, original_id="x1"):
-        return PivotInstance(
-            original_id=original_id,
-            pivot_lang="en",
-            source=Sentence(text="The cat sleeps on the sofa.", lang="en"),
-            target=Sentence(text="The cat is sleeping on the sofa.", lang="en"),
-            distractors=tuple(
-                Sentence(text=f"The dog sleeps on the sofa {i}.", lang="en")
-                for i in range(4)
-            ),
-        )
+def make_pivot(id="x1", distractor_texts=None):
+    texts = distractor_texts or tuple(
+        f"The dog sleeps on the sofa {i}." for i in range(4)
+    )
+    return ClsdInstance(
+        id=id,
+        source=Sentence(text="The cat sleeps on the sofa.", lang="en"),
+        target=Sentence(text="The cat is sleeping on the sofa.", lang="en"),
+        distractors=tuple(Sentence(text=t, lang="en") for t in texts),
+        pivot_lang="en",
+    )
 
-    def test_round_trip_and_sniff(self, tmp_path):
+
+def pivot_obj(**overrides):
+    obj = {
+        "id": "x1",
+        "src_lang": "en",
+        "tgt_lang": "en",
+        "source": "The cat sleeps.",
+        "target": "The cat is sleeping.",
+        "distractors": [f"The dog sleeps {i}." for i in range(4)],
+        "meta": {},
+        "pivot_lang": "en",
+        "original_id": "x1",
+    }
+    obj.update(overrides)
+    return obj
+
+
+class TestPivotIO:
+    def test_round_trip_keeps_pivot_lang(self, tmp_path):
         path = tmp_path / "pivot.jsonl"
-        instances = [self.make_pivot("a"), self.make_pivot("b")]
-        save_pivot_dataset(instances, path)
-        assert is_pivot_dataset(path)
-        assert load_pivot_dataset(path) == instances
+        instances = [make_pivot("a"), make_pivot("b")]
+        save_clsd_dataset(instances, path)
+        loaded = load_clsd_dataset(path)
+        assert loaded == instances
+        assert [i.pivot_lang for i in loaded] == ["en", "en"]
+
+    def test_pivot_keys_follow_meta(self, tmp_path):
+        path = tmp_path / "pivot.jsonl"
+        save_clsd_dataset([make_pivot("a")], path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        assert list(obj) == [
+            "id",
+            "src_lang",
+            "tgt_lang",
+            "source",
+            "target",
+            "distractors",
+            "meta",
+            "pivot_lang",
+            "original_id",
+        ]
+        assert (obj["meta"], obj["pivot_lang"], obj["original_id"]) == ({}, "en", "a")
 
     def test_direct_dataset_is_not_pivot(self, tmp_path, fixture_instances):
         path = tmp_path / "ds.jsonl"
         save_clsd_dataset(fixture_instances, path)
-        assert not is_pivot_dataset(path)
+        assert "pivot_lang" not in path.read_text(encoding="utf-8")
+        assert all(i.pivot_lang is None for i in load_clsd_dataset(path))
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"original_id": "other"}, "original_id differs from id"),
+            ({"src_lang": "fr"}, "pivot language 'en'"),
+            ({"tgt_lang": "fr"}, "pivot language 'en'"),
+            ({"pivot_lang": 3}, "'pivot_lang' is not a string"),
+        ],
+    )
+    def test_inconsistent_pivot_record_names_line(self, tmp_path, overrides, message):
+        path = tmp_path / "pivot.jsonl"
+        path.write_text(json.dumps(pivot_obj(**overrides)) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=message) as info:
+            load_clsd_dataset(path)
+        assert "pivot.jsonl:1" in str(info.value)
+
+    def test_missing_original_id_rejected(self, tmp_path):
+        obj = pivot_obj()
+        del obj["original_id"]
+        path = tmp_path / "pivot.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="missing key 'original_id'"):
+            load_clsd_dataset(path)
+
+    def test_pivot_distractor_equal_to_target_loads(self, tmp_path):
+        # a translator may collapse a distractor onto the target; the loader
+        # keeps it and validation reports it
+        target = "The cat is sleeping on the sofa."
+        instance = make_pivot(distractor_texts=(target, "b.", "c.", "d."))
+        path = tmp_path / "pivot.jsonl"
+        save_clsd_dataset([instance], path)
+        assert load_clsd_dataset(path) == [instance]
+        report = validate_dataset([instance])
+        assert report.errors == (("x1", "distractor equals target"),)
 
 
 class TestAnnotationIO:
