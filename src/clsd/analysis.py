@@ -373,10 +373,13 @@ def success_distribution(
 ) -> SuccessDistributionTable:
     """Bin distractors by edit similarity to the target; count successes.
 
-    A distractor succeeds iff its reported source similarity is at least the
-    target's, so an instance fails exactly when one of its distractors
-    succeeds here. Bin totals cover all distractors; percentages cover the
-    successful ones only. A similarity above the topmost bin is an error.
+    A distractor succeeds iff its instance failed and its reported source
+    similarity is at least the target's. Reports store similarities rounded
+    to 6 decimals, which can turn a strict win into a tie; rounding is
+    monotone, so a failed instance still has a successful distractor and an
+    instance fails exactly when one of its distractors succeeds here. Bin
+    totals cover all distractors; percentages cover the successful ones
+    only. A similarity above the topmost bin is an error.
     """
     checked = validate_edges(edges)
     by_id = {inst.id: inst for inst in dataset}
@@ -395,7 +398,9 @@ def success_distribution(
             idx = bin_index(
                 levenshtein_similarity(distractor.text, inst.target.text), checked
             )
-            succeeded = result.sim_distractors[i] >= result.sim_target
+            succeeded = (
+                not result.success and result.sim_distractors[i] >= result.sim_target
+            )
             if idx is None:
                 underflow_total += 1
                 underflow_success += succeeded

@@ -2,17 +2,25 @@
 
 One executable, ``clsd``, with one subcommand per pipeline stage::
 
-    clsd generate --corpus F --config C --seed N --out F
+    clsd generate --corpus F --config C [--seed N] --out F
     clsd validate --dataset F
     clsd stats --dataset F --out F
     clsd eval --dataset F (--backend lexical | --config C) --out F
     clsd pivot --dataset F --config C --pivot-lang en --out F
     clsd compare --report-a F --report-b F --out F
-    clsd norm --corpus F (--backend … | --config C) --seed N --out F
+    clsd norm --corpus F (--backend … | --config C) [--seed N] --out F
     clsd diff-annotate --dataset F --out F
     clsd shift --dataset F --annotations F --norm F (--backend …) --out F
-    clsd bins --report F --dataset F --out F
-    clsd report --inputs F... --format markdown|csv --out F
+    clsd bins --report F --dataset F [--config C] --out F
+    clsd report --inputs F... [--format markdown|csv] --out F
+
+Each subcommand is one entry of ``_COMMANDS``: name, help text, flags and
+handler. A flag written ``[--x]`` is optional, any other is required, and
+``_FLAG_KWARGS`` holds the few flags that are not plain strings. A handler
+takes the parsed arguments and the loaded config, writes its output file
+and returns its summary line and the seed it used; ``_dispatch`` loads the
+``--config`` file, writes the manifest and prints the summary. ``validate``
+writes no file and returns its own exit code.
 
 Exit codes: 0 success, 1 validation or data errors, 2 provider or transport
 errors. All outputs are written atomically; every ``--out`` is accompanied
@@ -32,7 +40,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -66,25 +74,43 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # Configuration file
 
+def _string(value: object) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _optional_string(value: object) -> str | None:
+    return None if value is None else _string(value)
+
+
+def _bin_edges(value: object) -> tuple[tuple[float, float], ...]:
+    return tuple((float(lo), float(hi)) for lo, hi in value)
+
+
+_PROVIDER_SECTIONS = ("embedding", "chat", "translation")
 _PROVIDER_KEYS = {
-    "endpoint",
-    "model_id",
-    "api_key_env",
-    "max_batch",
-    "max_inflight",
-    "retry_attempts",
-    "retry_base_ms",
+    "endpoint": _string,
+    "model_id": _string,
+    "api_key_env": _optional_string,
+    "max_batch": int,
+    "max_inflight": int,
+    "retry_attempts": int,
+    "retry_base_ms": int,
 }
-_GENERATION_KEYS = {
-    "max_retries",
-    "prompt_version",
-    "language_names",
-    "temperature",
-    "top_p",
+# Every config section with its allowed keys and the conversion of each value.
+_SECTIONS = {
+    **{kind: _PROVIDER_KEYS for kind in _PROVIDER_SECTIONS},
+    "generation": {
+        "max_retries": int,
+        "prompt_version": str,
+        "language_names": dict,
+        "temperature": float,
+        "top_p": float,
+    },
+    "analysis": {"bin_edges": _bin_edges, "seed": int},
+    "paths": {"cache_dir": _optional_string},
 }
-_ANALYSIS_KEYS = {"bin_edges", "seed"}
-_PATH_KEYS = {"cache_dir", "output_dir"}
-_SECTIONS = {"embedding", "chat", "translation", "generation", "analysis", "paths"}
 
 
 @dataclass(frozen=True)
@@ -92,30 +118,17 @@ class RunConfig:
     embedding: prov.ProviderConfig | None = None
     chat: prov.ProviderConfig | None = None
     translation: prov.ProviderConfig | None = None
-    generation: dict | None = None
+    generation: dict | None = None  # GenerationConfig keyword arguments but ``chat``
     bin_edges: tuple[tuple[float, float], ...] | None = None
     seed: int | None = None
     cache_dir: str | None = None
-    output_dir: str | None = None
 
 
-def _provider_from_section(kind: str, section: dict, ctx: str) -> prov.ProviderConfig:
-    unknown = set(section) - _PROVIDER_KEYS
-    if unknown:
-        raise DataError(f"{ctx}: unknown keys {sorted(unknown)}")
-    try:
-        return prov.ProviderConfig(
-            kind=kind,
-            endpoint=section["endpoint"],
-            model_id=section["model_id"],
-            api_key_env=section.get("api_key_env"),
-            max_batch=int(section.get("max_batch", 32)),
-            max_inflight=int(section.get("max_inflight", 4)),
-            retry_attempts=int(section.get("retry_attempts", 3)),
-            retry_base_ms=int(section.get("retry_base_ms", 250)),
-        )
-    except KeyError as exc:
-        raise DataError(f"{ctx}: missing key {exc.args[0]!r}") from exc
+def _provider_config(kind: str, values: dict, ctx: str) -> prov.ProviderConfig:
+    for key in ("endpoint", "model_id"):
+        if key not in values:
+            raise DataError(f"{ctx}: missing key {key!r}")
+    return prov.ProviderConfig(kind=kind, **values)
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -126,75 +139,45 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DataError(f"{path}: config must be a JSON object")
-    unknown = set(raw) - _SECTIONS
+    unknown = set(raw) - set(_SECTIONS)
     if unknown:
         raise DataError(f"{path}: unknown config sections {sorted(unknown)}")
 
-    providers = {}
-    for kind in ("embedding", "chat", "translation"):
-        if kind in raw:
-            providers[kind] = _provider_from_section(
-                kind, raw[kind], f"{path}: section {kind!r}"
+    fields: dict = {}
+    for name, converters in _SECTIONS.items():
+        section = raw.get(name)
+        if section is None:  # an absent or null section keeps its defaults
+            continue
+        ctx = f"{path}: section {name!r}"
+        if not isinstance(section, dict):
+            raise DataError(f"{ctx}: expected a JSON object")
+        unknown = set(section) - set(converters)
+        if unknown:
+            raise DataError(f"{ctx}: unknown keys {sorted(unknown)}")
+        values = {}
+        for key, value in section.items():
+            try:
+                values[key] = converters[key](value)
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{ctx}: key {key!r}: {exc}") from exc
+        if name in _PROVIDER_SECTIONS:
+            fields[name] = _provider_config(name, values, ctx)
+        elif name == "generation":
+            params = prov.ChatParams(
+                temperature=values.pop("temperature", 1.0), top_p=values.pop("top_p", 1.0)
             )
-
-    generation = raw.get("generation")
-    if generation is not None:
-        bad = set(generation) - _GENERATION_KEYS
-        if bad:
-            raise DataError(f"{path}: section 'generation': unknown keys {sorted(bad)}")
-
-    bin_edges = None
-    seed = None
-    if "analysis" in raw:
-        section = raw["analysis"]
-        bad = set(section) - _ANALYSIS_KEYS
-        if bad:
-            raise DataError(f"{path}: section 'analysis': unknown keys {sorted(bad)}")
-        if "bin_edges" in section:
-            bin_edges = tuple((float(lo), float(hi)) for lo, hi in section["bin_edges"])
-        if "seed" in section:
-            seed = int(section["seed"])
-
-    cache_dir = None
-    output_dir = None
-    if "paths" in raw:
-        section = raw["paths"]
-        bad = set(section) - _PATH_KEYS
-        if bad:
-            raise DataError(f"{path}: section 'paths': unknown keys {sorted(bad)}")
-        cache_dir = section.get("cache_dir")
-        output_dir = section.get("output_dir")
-
-    return RunConfig(
-        embedding=providers.get("embedding"),
-        chat=providers.get("chat"),
-        translation=providers.get("translation"),
-        generation=generation,
-        bin_edges=bin_edges,
-        seed=seed,
-        cache_dir=cache_dir,
-        output_dir=output_dir,
-    )
+            if "language_names" in values:
+                values["language_name_map"] = values.pop("language_names")
+            fields[name] = {"params": params, **values}
+        else:  # analysis and paths keys are RunConfig fields
+            fields.update(values)
+    return RunConfig(**fields)
 
 
 def _generation_config(config: RunConfig) -> gen.GenerationConfig:
     if config.chat is None:
         raise DataError("config has no 'chat' section; generation needs one")
-    section = config.generation or {}
-    params = prov.ChatParams(
-        temperature=float(section.get("temperature", 1.0)),
-        top_p=float(section.get("top_p", 1.0)),
-    )
-    kwargs = {}
-    if "language_names" in section:
-        kwargs["language_name_map"] = dict(section["language_names"])
-    return gen.GenerationConfig(
-        chat=config.chat,
-        params=params,
-        max_retries=int(section.get("max_retries", 2)),
-        prompt_version=str(section.get("prompt_version", gen.DEFAULT_PROMPT_VERSION)),
-        **kwargs,
-    )
+    return gen.GenerationConfig(chat=config.chat, **(config.generation or {}))
 
 
 def _embedder(
@@ -222,6 +205,13 @@ def _embedder(
 # ---------------------------------------------------------------------------
 # Run manifest
 
+# Flags naming input files, as argparse attributes; each file's digest goes
+# into the manifest under this name. ``report --inputs`` adds ``report_<i>``.
+_INPUT_FLAGS = (
+    "corpus", "dataset", "report", "report_a", "report_b", "annotations", "norm"
+)
+
+
 def _sha256_file(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -231,14 +221,12 @@ def _sha256_file(path: str | Path) -> str:
 
 
 def _write_manifest(
-    out: Path,
-    command: str,
-    inputs: dict[str, str],
-    config_path: str | None,
-    seed: int | None,
+    args: argparse.Namespace, config_path: str | None, seed: int | None
 ) -> None:
+    inputs = {name: getattr(args, name) for name in _INPUT_FLAGS if hasattr(args, name)}
+    inputs.update((f"report_{i}", p) for i, p in enumerate(getattr(args, "inputs", ())))
     payload = {
-        "command": command,
+        "command": args.command,
         "config_sha256": _sha256_file(config_path) if config_path else None,
         "inputs": {name: _sha256_file(p) for name, p in sorted(inputs.items())},
         "seed": seed,
@@ -247,48 +235,31 @@ def _write_manifest(
         "version": _VERSION,
     }
     rec._write_atomic_text(
-        out.with_name(out.name + ".manifest.json"),
+        Path(args.out + ".manifest.json"),
         json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
     )
 
 
-def _load_config_arg(path: str | None) -> RunConfig:
-    return load_run_config(path) if path else RunConfig()
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each writes its output and returns (summary line, seed used)
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    config = _load_config_arg(args.config)
+def _cmd_generate(args: argparse.Namespace, config: RunConfig) -> tuple[str, int]:
     corpus = rec.load_parallel_corpus(args.corpus)
     gcfg = _generation_config(config)
     seed = args.seed if args.seed is not None else (config.seed or 0)
     instances, log = gen.generate_dataset(corpus, gcfg, seed=seed)
-    out = Path(args.out)
-    rec.save_clsd_dataset(instances, out)
+    rec.save_clsd_dataset(instances, args.out)
     rec._write_jsonl(
-        out.with_name(out.name + ".log.jsonl"),
-        [
-            {
-                "pair_id": e.pair_id,
-                "outcome": e.outcome,
-                "attempts": e.attempts,
-                "latency_ms": round(e.latency_ms, 3),
-                "message": e.message,
-            }
-            for e in log
-        ],
+        Path(args.out + ".log.jsonl"),
+        [{**asdict(e), "latency_ms": round(e.latency_ms, 3)} for e in log],
     )
-    _write_manifest(out, "generate", {"corpus": args.corpus}, args.config, seed)
     skipped = [e for e in log if e.outcome != "ok"]
-    print(f"generated {len(instances)} instances, skipped {len(skipped)}")
     for entry in skipped:
         print(entry.message, file=sys.stderr)
-    return 0
+    return f"generated {len(instances)} instances, skipped {len(skipped)}", seed
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace, config: RunConfig) -> int:
     report = rec.validate_dataset(rec.load_clsd_dataset(args.dataset))
     for record_id, message in report.errors:
         print(f"error: {record_id}: {message}", file=sys.stderr)
@@ -301,56 +272,44 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    instances = rec.load_clsd_dataset(args.dataset)
-    stats = gen.dataset_stats(instances)
-    out = Path(args.out)
+def _cmd_stats(args: argparse.Namespace, config: RunConfig) -> tuple[str, None]:
+    stats = gen.dataset_stats(rec.load_clsd_dataset(args.dataset))
     rec._write_atomic_text(
-        out, json.dumps(stats.to_json(), ensure_ascii=False, indent=2) + "\n"
+        Path(args.out), json.dumps(stats.to_json(), ensure_ascii=False, indent=2) + "\n"
     )
-    _write_manifest(out, "stats", {"dataset": args.dataset}, None, None)
-    print(
+    summary = (
         f"n={stats.n_instances} jaccard_mean={stats.jaccard_mean:.4f} "
         f"jaccard_std={stats.jaccard_std:.4f}"
     )
-    return 0
+    return summary, None
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    config = _load_config_arg(args.config)
+def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> tuple[str, None]:
     dataset = rec.load_clsd_dataset(args.dataset)
     embedder = _embedder(args.backend, config)
     report = ev.evaluate(embedder, dataset, dataset_id=Path(args.dataset).stem)
-    out = Path(args.out)
-    ev.save_eval_report(report, out)
-    _write_manifest(out, "eval", {"dataset": args.dataset}, args.config, None)
-    print(f"mode={report.mode} n={report.n} p_at_1={report.p_at_1:.4f}")
-    return 0
+    ev.save_eval_report(report, args.out)
+    return f"mode={report.mode} n={report.n} p_at_1={report.p_at_1:.4f}", None
 
 
-def _cmd_pivot(args: argparse.Namespace) -> int:
-    config = _load_config_arg(args.config)
+def _cmd_pivot(args: argparse.Namespace, config: RunConfig) -> tuple[str, None]:
     if config.translation is None:
         raise DataError("config has no 'translation' section; pivot needs one")
     dataset = rec.load_clsd_dataset(args.dataset)
     translator = prov.make_translator(config.translation)
     instances, skipped = ev.pivot_dataset(dataset, translator, args.pivot_lang)
-    out = Path(args.out)
-    rec.save_clsd_dataset(instances, out)
-    _write_manifest(out, "pivot", {"dataset": args.dataset}, args.config, None)
-    print(f"pivoted {len(instances)} instances, skipped {len(skipped)}")
+    rec.save_clsd_dataset(instances, args.out)
     for instance_id, reason in skipped:
         print(f"skipped {instance_id}: {reason}", file=sys.stderr)
-    return 0
+    return f"pivoted {len(instances)} instances, skipped {len(skipped)}", None
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace, config: RunConfig) -> tuple[str, None]:
     report_a = ev.load_eval_report(args.report_a)
     report_b = ev.load_eval_report(args.report_b)
     only_a, only_b = ev.disagreement(report_a, report_b)
-    out = Path(args.out)
     rec._write_atomic_text(
-        out,
+        Path(args.out),
         json.dumps(
             {"success_only_a": only_a, "success_only_b": only_b},
             ensure_ascii=False,
@@ -358,33 +317,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
         + "\n",
     )
-    _write_manifest(
-        out,
-        "compare",
-        {"report_a": args.report_a, "report_b": args.report_b},
-        None,
-        None,
-    )
-    print(f"only_a={len(only_a)} only_b={len(only_b)}")
-    return 0
+    return f"only_a={len(only_a)} only_b={len(only_b)}", None
 
 
-def _cmd_norm(args: argparse.Namespace) -> int:
-    config = _load_config_arg(args.config)
+def _cmd_norm(args: argparse.Namespace, config: RunConfig) -> tuple[str, int]:
     corpus = rec.load_parallel_corpus(args.corpus)
     embedder = _embedder(args.backend, config)
     seed = args.seed if args.seed is not None else config.seed
     if seed is None:
         raise DataError("no seed: pass --seed or set analysis.seed in the config")
     norm = ana.normalization_factor(embedder, corpus, seed)
-    out = Path(args.out)
-    ana.save_normalization(norm, out)
-    _write_manifest(out, "norm", {"corpus": args.corpus}, args.config, seed)
-    print(f"value={norm.value:.6f} n={norm.n_parallel} seed={seed}")
-    return 0
+    ana.save_normalization(norm, args.out)
+    return f"value={norm.value:.6f} n={norm.n_parallel} seed={seed}", seed
 
 
-def _cmd_diff_annotate(args: argparse.Namespace) -> int:
+def _cmd_diff_annotate(args: argparse.Namespace, config: RunConfig) -> tuple[str, None]:
     instances = rec.load_clsd_dataset(args.dataset)
     lines = []
     for inst in instances:
@@ -403,49 +350,30 @@ def _cmd_diff_annotate(args: argparse.Namespace) -> int:
                     "pos": "",
                 }
             )
-    out = Path(args.out)
-    rec._write_jsonl(out, lines)
-    _write_manifest(out, "diff-annotate", {"dataset": args.dataset}, None, None)
-    print(f"candidates={len(lines)}")
-    return 0
+    rec._write_jsonl(Path(args.out), lines)
+    return f"candidates={len(lines)}", None
 
 
-def _cmd_shift(args: argparse.Namespace) -> int:
-    config = _load_config_arg(args.config)
+def _cmd_shift(args: argparse.Namespace, config: RunConfig) -> tuple[str, None]:
     dataset = rec.load_clsd_dataset(args.dataset)
     annotations = rec.load_annotations(args.annotations)
     norm = ana.load_normalization(args.norm)
     embedder = _embedder(args.backend, config)
     table = ana.shift_analysis(embedder, dataset, annotations, norm)
-    out = Path(args.out)
-    rec._write_atomic_text(out, ana.shift_table_to_csv(table))
-    _write_manifest(
-        out,
-        "shift",
-        {"dataset": args.dataset, "annotations": args.annotations, "norm": args.norm},
-        args.config,
-        None,
-    )
+    rec._write_atomic_text(Path(args.out), ana.shift_table_to_csv(table))
     any_stats = table.group(ana.ANY_GROUP)
-    print(f"records={any_stats.n} mean_cross_shift={any_stats.mean_cross_shift:.4f}")
-    return 0
+    return f"records={any_stats.n} mean_cross_shift={any_stats.mean_cross_shift:.4f}", None
 
 
-def _cmd_bins(args: argparse.Namespace) -> int:
-    config = _load_config_arg(args.config)
+def _cmd_bins(args: argparse.Namespace, config: RunConfig) -> tuple[str, None]:
     report = ev.load_eval_report(args.report)
     dataset = rec.load_clsd_dataset(args.dataset)
     edges = config.bin_edges or DEFAULT_BIN_EDGES
     table = ana.success_distribution(report, dataset, edges)
-    out = Path(args.out)
-    rec._write_atomic_text(out, ana.success_distribution_to_csv(table))
-    _write_manifest(
-        out, "bins", {"report": args.report, "dataset": args.dataset}, args.config, None
-    )
+    rec._write_atomic_text(Path(args.out), ana.success_distribution_to_csv(table))
     if table.flagged:
         print("no successful distractors; percentages reported as 0", file=sys.stderr)
-    print(f"successful_distractors={table.n_successful}")
-    return 0
+    return f"successful_distractors={table.n_successful}", None
 
 
 # ---------------------------------------------------------------------------
@@ -515,98 +443,71 @@ def render_report(paths: Sequence[str], fmt: str = "markdown") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    rendered = render_report(args.inputs, args.format)
-    out = Path(args.out)
-    rec._write_atomic_text(out, rendered)
-    inputs = {f"report_{i}": path for i, path in enumerate(args.inputs)}
-    _write_manifest(out, "report", inputs, None, None)
-    print(f"wrote {args.format} report for {len(args.inputs)} input(s)")
-    return 0
+def _cmd_report(args: argparse.Namespace, config: RunConfig) -> tuple[str, None]:
+    rec._write_atomic_text(Path(args.out), render_report(args.inputs, args.format))
+    return f"wrote {args.format} report for {len(args.inputs)} input(s)", None
 
 
 # ---------------------------------------------------------------------------
-# Parser wiring
+# Command table and dispatch
+
+_COMMANDS = (
+    ("generate", "generate distractors for a parallel corpus",
+     ("--corpus", "--config", "[--seed]", "--out"), _cmd_generate),
+    ("validate", "check a dataset file against all invariants",
+     ("--dataset",), _cmd_validate),
+    ("stats", "word-overlap statistics for a dataset",
+     ("--dataset", "--out"), _cmd_stats),
+    ("eval", "rank targets against distractors, report P@1",
+     ("--dataset", "[--backend]", "[--config]", "--out"), _cmd_eval),
+    ("pivot", "translate a dataset into a pivot language",
+     ("--dataset", "--config", "--pivot-lang", "--out"), _cmd_pivot),
+    ("compare", "success-set disagreement between two reports",
+     ("--report-a", "--report-b", "--out"), _cmd_compare),
+    ("norm", "parallel-vs-unrelated similarity gap",
+     ("--corpus", "[--backend]", "[--config]", "[--seed]", "--out"), _cmd_norm),
+    ("diff-annotate", "emit single-token-swap candidates for POS annotation",
+     ("--dataset", "--out"), _cmd_diff_annotate),
+    ("shift", "normalized similarity shifts grouped by POS",
+     ("--dataset", "--annotations", "--norm", "[--backend]", "[--config]", "--out"),
+     _cmd_shift),
+    ("bins", "successful distractors per edit-similarity bin",
+     ("--report", "--dataset", "[--config]", "--out"), _cmd_bins),
+    ("report", "aggregate eval reports into one table",
+     ("--inputs", "[--format]", "--out"), _cmd_report),
+)
+# argparse settings of the flags that do not take one string
+_FLAG_KWARGS = {
+    "--seed": {"type": int},
+    "--backend": {"help": "lexical[:dim] offline baseline"},
+    "--inputs": {"nargs": "+"},
+    "--format": {"choices": ("markdown", "csv"), "default": "markdown"},
+}
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="clsd", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"clsd {_VERSION}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("generate", help="generate distractors for a parallel corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("validate", help="check a dataset file against all invariants")
-    p.add_argument("--dataset", required=True)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("stats", help="word-overlap statistics for a dataset")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("eval", help="rank targets against distractors, report P@1")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--backend", default=None, help="lexical[:dim] offline baseline")
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("pivot", help="translate a dataset into a pivot language")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--pivot-lang", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_pivot)
-
-    p = sub.add_parser("compare", help="success-set disagreement between two reports")
-    p.add_argument("--report-a", required=True)
-    p.add_argument("--report-b", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("norm", help="parallel-vs-unrelated similarity gap")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--backend", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_norm)
-
-    p = sub.add_parser(
-        "diff-annotate", help="emit single-token-swap candidates for POS annotation"
-    )
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_diff_annotate)
-
-    p = sub.add_parser("shift", help="normalized similarity shifts grouped by POS")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--norm", required=True)
-    p.add_argument("--backend", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_shift)
-
-    p = sub.add_parser("bins", help="successful distractors per edit-similarity bin")
-    p.add_argument("--report", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_bins)
-
-    p = sub.add_parser("report", help="aggregate eval reports into one table")
-    p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_report)
-
+    for name, help_text, flags, handler in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            option = flag.strip("[]")
+            p.add_argument(option, required=option == flag, **_FLAG_KWARGS.get(option, {}))
+        p.set_defaults(func=handler)
     return parser
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    config_path = getattr(args, "config", None)
+    config = load_run_config(config_path) if config_path else RunConfig()
+    result = args.func(args, config)
+    if isinstance(result, int):  # validate: no output file, its own exit code
+        return result
+    summary, seed = result
+    _write_manifest(args, config_path, seed)
+    print(summary)
+    return 0
 
 
 def run(argv: Sequence[str]) -> int:
@@ -616,7 +517,7 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _dispatch(args)
     except ProviderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -234,11 +234,7 @@ def pivot_dataset(
                 raise DataError(
                     f"count mismatch: sent {len(candidates)}, got {len(translated)}"
                 )
-        except Exception as exc:  # skip, never abort the whole run
-            skipped.append((inst.id, str(exc)))
-            continue
-        out.append(
-            ClsdInstance(
+            pivot = ClsdInstance(
                 id=inst.id,
                 source=Sentence(text=source_text, lang=pivot_lang),
                 target=Sentence(text=translated[0], lang=pivot_lang),
@@ -247,7 +243,10 @@ def pivot_dataset(
                 ),
                 pivot_lang=pivot_lang,
             )
-        )
+        except Exception as exc:  # skip, never abort the whole run
+            skipped.append((inst.id, str(exc)))
+            continue
+        out.append(pivot)
     return out, skipped
 
 

@@ -125,6 +125,13 @@ def _http_transport(cfg: ProviderConfig) -> Transport:
             resp = requests.post(
                 endpoint, json=payload, headers=headers, timeout=_REQUEST_TIMEOUT_S
             )
+        except (
+            requests.exceptions.MissingSchema,
+            requests.exceptions.InvalidSchema,
+            requests.exceptions.InvalidURL,
+        ) as exc:
+            # raised before any socket opens: the endpoint itself is wrong
+            raise _PermanentProviderError(f"invalid endpoint {endpoint!r}: {exc}") from exc
         except requests.RequestException as exc:
             raise ProviderError(f"transport failure for {endpoint}: {exc}") from exc
         if resp.status_code >= 500:

@@ -28,7 +28,13 @@ from clsd.analysis import (
     success_distribution_to_csv,
 )
 from clsd.errors import DataError
-from clsd.evaluator import EvalReport, InstanceResult, evaluate
+from clsd.evaluator import (
+    EvalReport,
+    InstanceResult,
+    evaluate,
+    load_eval_report,
+    save_eval_report,
+)
 from clsd.providers import EmbeddingVector, LexicalEmbedder
 from clsd.records import ClsdInstance, DiffAnnotation, ParallelPair, Sentence
 
@@ -596,6 +602,38 @@ class TestSuccessDistribution:
                 s >= result.sim_target for s in result.sim_distractors
             )
             assert distractor_success == (not result.success)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sim_target=st.floats(-0.9, 0.9),
+        gaps=st.lists(
+            st.one_of(st.floats(-2e-6, 2e-6), st.floats(-1.0, 1.0)),
+            min_size=4,
+            max_size=4,
+        ),
+    )
+    def test_failed_iff_successful_distractor_after_round_trip(
+        self, tmp_path_factory, sim_target, gaps
+    ):
+        # gaps of about 1e-6 make 6-decimal rounding turn strict wins into ties
+        sims = [min(1.0, max(-1.0, sim_target - g)) for g in gaps]
+        texts = ["tgt", "d0", "d1", "d2", "d3"]
+        axes = np.eye(6)
+        mapping = {"src": axes[0]}
+        for k, (text, c) in enumerate(zip(texts, [sim_target, *sims])):
+            mapping[text] = c * axes[0] + math.sqrt(1.0 - c * c) * axes[k + 1]
+        instance = ClsdInstance(
+            id="rt",
+            source=Sentence(text="src", lang="de"),
+            target=Sentence(text="tgt", lang="fr"),
+            distractors=tuple(Sentence(text=t, lang="fr") for t in texts[1:]),
+            meta={},
+        )
+        path = tmp_path_factory.getbasetemp() / "round-trip-report.json"
+        save_eval_report(evaluate(DictEmbedder(mapping), [instance]), path)
+        reloaded = load_eval_report(path)
+        table = success_distribution(reloaded, [instance])
+        assert (table.n_successful > 0) == (not reloaded.results[0].success)
 
     def test_frozen_fixture_csv(self, fixture_instances):
         report = evaluate(LexicalEmbedder(dim=512), fixture_instances)

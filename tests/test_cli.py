@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 import clsd
-from clsd.cli import CACHE_DIR_ENV, RunConfig, _embedder, render_report, run
+from clsd.cli import (
+    CACHE_DIR_ENV,
+    RunConfig,
+    _embedder,
+    load_run_config,
+    render_report,
+    run,
+)
 from clsd.errors import DataError
 from clsd.evaluator import EvalReport, InstanceResult, load_eval_report, save_eval_report
 from clsd.providers import LexicalEmbedder, ProviderConfig, ServiceEmbedder
@@ -944,6 +951,66 @@ class TestReportCommand:
             render_report(["x.json"], fmt="html")
 
 
+@pytest.fixture(scope="module")
+def manifest_files(workdir, dataset_path, replay_path):
+    """Every input the file-writing commands read, built once."""
+    files = {"corpus": CORPUS_PATH, "dataset": dataset_path, "annotations": ANNOTATIONS_PATH}
+    files["config"] = write_config(
+        workdir / "manifest-cfg.json",
+        replay=replay_path,
+        translation=True,
+        embedding={"endpoint": "lexical", "model_id": "m"},
+        analysis={"seed": 17},
+    )
+    files["report"] = workdir / "manifest-report.json"
+    files["norm"] = workdir / "manifest-norm.json"
+    assert run(["eval", "--dataset", str(dataset_path), "--backend", "lexical",
+                "--out", str(files["report"])]) == 0
+    assert run(["norm", "--corpus", str(CORPUS_PATH), "--backend", "lexical",
+                "--seed", "17", "--out", str(files["norm"])]) == 0
+    return files
+
+
+class TestManifests:
+    @pytest.mark.parametrize(
+        "argv,inputs,config_hashed,seed",
+        [
+            ("generate --corpus {corpus} --config {config}", {"corpus"}, True, 17),
+            ("generate --corpus {corpus} --config {config} --seed 3", {"corpus"}, True, 3),
+            ("stats --dataset {dataset}", {"dataset"}, False, None),
+            ("eval --dataset {dataset} --config {config}", {"dataset"}, True, None),
+            ("eval --dataset {dataset} --backend lexical", {"dataset"}, False, None),
+            ("pivot --dataset {dataset} --config {config} --pivot-lang en",
+             {"dataset"}, True, None),
+            ("compare --report-a {report} --report-b {report}",
+             {"report_a", "report_b"}, False, None),
+            ("norm --corpus {corpus} --config {config}", {"corpus"}, True, 17),
+            ("norm --corpus {corpus} --backend lexical --seed 5", {"corpus"}, False, 5),
+            ("diff-annotate --dataset {dataset}", {"dataset"}, False, None),
+            ("shift --dataset {dataset} --annotations {annotations} --norm {norm} "
+             "--config {config}", {"dataset", "annotations", "norm"}, True, None),
+            ("shift --dataset {dataset} --annotations {annotations} --norm {norm} "
+             "--backend lexical", {"dataset", "annotations", "norm"}, False, None),
+            ("bins --report {report} --dataset {dataset} --config {config}",
+             {"report", "dataset"}, True, None),
+            ("bins --report {report} --dataset {dataset}", {"report", "dataset"}, False, None),
+            ("report --inputs {report} {report} {report}",
+             {"report_0", "report_1", "report_2"}, False, None),
+        ],
+    )
+    def test_manifest_fields(
+        self, tmp_path, manifest_files, argv, inputs, config_hashed, seed
+    ):
+        out = tmp_path / "out"
+        args = argv.format(**{k: str(v) for k, v in manifest_files.items()}).split()
+        assert run([*args, "--out", str(out)]) == 0
+        manifest = read_manifest(out)
+        assert manifest["command"] == args[0]
+        assert set(manifest["inputs"]) == inputs
+        assert (manifest["config_sha256"] is not None) == config_hashed
+        assert manifest["seed"] == seed
+
+
 class TestArgumentHandling:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
@@ -1000,6 +1067,52 @@ class TestArgumentHandling:
         )
         assert code == 1
         assert "unknown keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sections,message",
+        [
+            ({"analysis": {"seed": "abc"}}, "section 'analysis': key 'seed'"),
+            ({"chat": {"max_batch": "lots"}}, "section 'chat': key 'max_batch'"),
+            ({"analysis": {"bin_edges": [[0.5]]}}, "section 'analysis': key 'bin_edges'"),
+            ({"generation": {"temperature": "hot"}}, "section 'generation': key 'temperature'"),
+            ({"chat": {"endpoint": 5}}, "section 'chat': key 'endpoint': expected a string"),
+            ({"chat": {"model_id": [1]}}, "section 'chat': key 'model_id': expected a string"),
+            ({"chat": {"api_key_env": 5}}, "section 'chat': key 'api_key_env': expected a string"),
+            ({"paths": {"cache_dir": 5}}, "section 'paths': key 'cache_dir': expected a string"),
+            ({"generation": "abc"}, "section 'generation': expected a JSON object"),
+            ({"embedding": ["x"]}, "section 'embedding': expected a JSON object"),
+            ({"paths": {"output_dir": "out"}}, "section 'paths': unknown keys ['output_dir']"),
+        ],
+    )
+    def test_bad_config_value_exit_1(self, tmp_path, sections, message, capsys):
+        cfg = {"chat": {"endpoint": "replay:unused.jsonl", "model_id": "m"}}
+        for name, section in sections.items():
+            cfg[name] = {**cfg[name], **section} if name == "chat" else section
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        code = run(
+            ["generate", "--corpus", str(CORPUS_PATH), "--config", str(config),
+             "--out", str(tmp_path / "g.jsonl")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_convertible_config_values_still_load(self, tmp_path):
+        config = write_config(
+            tmp_path / "cfg.json",
+            embedding={"endpoint": "lexical", "model_id": "m", "max_batch": "32"},
+            analysis={"seed": "7", "bin_edges": [["0.5", 1]]},
+            generation={"max_retries": "1", "temperature": "0.5"},
+        )
+        loaded = load_run_config(config)
+        assert loaded.embedding.max_batch == 32
+        assert (loaded.seed, loaded.bin_edges) == (7, ((0.5, 1.0),))
+        assert loaded.generation["max_retries"] == 1
+        assert loaded.generation["params"].temperature == 0.5
+        config.write_text('{"generation": null, "paths": null}', encoding="utf-8")
+        assert load_run_config(config) == RunConfig()
 
     def test_missing_input_file_exit_1(self, tmp_path, capsys):
         code = run(["validate", "--dataset", str(tmp_path / "absent.jsonl")])

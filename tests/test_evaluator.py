@@ -343,6 +343,22 @@ class TestPivotDataset:
         assert skipped[0][0] == bad_id
         assert "count mismatch" in skipped[0][1]
 
+    def test_empty_translation_skips_only_that_instance(self):
+        dataset = self.make_direct(n=2)
+        blank_id = dataset[0].id
+
+        def translate(texts, src, tgt):
+            # blank one candidate of the first instance only
+            if any(blank_id in t for t in texts) and len(texts) == 5:
+                return [texts[0], "", *texts[2:]]
+            return list(texts)
+
+        pivoted, skipped = pivot_dataset(dataset, translate, "en")
+        assert [p.id for p in pivoted] == [dataset[1].id]
+        assert len(skipped) == 1
+        assert skipped[0][0] == blank_id
+        assert "sentence text is empty" in skipped[0][1]
+
     def test_pivot_language_must_be_third(self):
         dataset = self.make_direct()
         for lang in ("de", "fr"):

@@ -310,6 +310,15 @@ class TestRetries:
             embed_batch(embedding_config(max_batch=8), ["a"], transport=transport)
         assert len(transport.calls) == 1
 
+    def test_malformed_endpoint_url_not_retried(self, monkeypatch):
+        def no_sleep(seconds):
+            raise AssertionError("a malformed URL must not be retried")
+
+        monkeypatch.setattr("clsd.providers.time.sleep", no_sleep)
+        cfg = embedding_config(endpoint="lexica:64", retry_attempts=3)
+        with pytest.raises(ProviderError, match="lexica:64"):
+            embed_batch(cfg, ["a"])
+
 
 class TestEmbeddingCache:
     def test_round_trip_and_manifest(self, tmp_path):
