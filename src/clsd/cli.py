@@ -45,6 +45,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
+from . import __version__
 from . import analysis as ana
 from . import evaluator as ev
 from . import generator as gen
@@ -52,13 +53,6 @@ from . import providers as prov
 from . import records as rec
 from .errors import DataError, ProviderError
 from .textmetrics import DEFAULT_BIN_EDGES, single_token_diff
-
-try:
-    from importlib import metadata
-
-    _VERSION = metadata.version("clsd")
-except Exception:  # not installed; running from a checkout
-    _VERSION = "0.0.0-dev"
 
 CACHE_DIR_ENV = "CLSD_CACHE_DIR"
 
@@ -103,7 +97,7 @@ _SECTIONS = {
     **{kind: _PROVIDER_KEYS for kind in _PROVIDER_SECTIONS},
     "generation": {
         "max_retries": int,
-        "prompt_version": str,
+        "prompt_version": _string,
         "language_names": dict,
         "temperature": float,
         "top_p": float,
@@ -232,7 +226,7 @@ def _write_manifest(
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "tool": "clsd",
-        "version": _VERSION,
+        "version": __version__,
     }
     rec._write_atomic_text(
         Path(args.out + ".manifest.json"),
@@ -487,7 +481,7 @@ _FLAG_KWARGS = {
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="clsd", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"clsd {_VERSION}")
+    parser.add_argument("--version", action="version", version=f"clsd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, help_text, flags, handler in _COMMANDS:
         p = sub.add_parser(name, help=help_text)

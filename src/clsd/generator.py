@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DataError, ProviderError
 from .providers import ChatParams, ProviderConfig, Transport, chat_complete
+from .providers import _PermanentProviderError
 from .records import ClsdInstance, ParallelPair, Sentence
 from .textmetrics import (
     SCHEME_SET,
@@ -127,7 +128,8 @@ def generate_instance(
     A response is rejected, and the request retried, when parsing fails or
     any parsed distractor equals the target verbatim. After
     ``max_retries + 1`` attempts the pair is given up with an error; callers
-    decide whether that skips the pair or aborts the run.
+    decide whether that skips the pair or aborts the run. A provider failure
+    that no retry can fix, such as a malformed replay file, is raised at once.
     """
     messages = build_prompt(pair.target, cfg)
     attempts = cfg.max_retries + 1
@@ -136,6 +138,8 @@ def generate_instance(
         try:
             response = chat_complete(cfg.chat, messages, cfg.params, transport=transport)
             texts = parse_distractors(response)
+        except _PermanentProviderError:
+            raise  # another sample cannot fix it; the caller logs its reason
         except (DataError, ProviderError) as exc:
             last_reason = str(exc)
             continue
@@ -195,7 +199,7 @@ def generate_dataset(
             entry = GenerationLogEntry(
                 pair_id=pair.id,
                 outcome="skipped",
-                attempts=cfg.max_retries + 1,
+                attempts=1 if isinstance(exc, _PermanentProviderError) else cfg.max_retries + 1,
                 latency_ms=latency,
                 message=f"pair {pair.id}: exhausted retries"
                 if "exhausted retries" in str(exc)

@@ -12,14 +12,16 @@ Wire protocol is the common JSON shape spoken by most model servers:
 Offline endpoint schemes, used by tests and desk-scale runs:
 
 * ``replay:<file.jsonl>`` (chat): each line ``{"key", "content"}``; the key is
-  matched against the final user message verbatim.
+  matched against the final user message verbatim. A malformed line fails the
+  request, naming the file and line.
 * ``identity:`` (translation): returns inputs unchanged.
 * ``lexical`` / ``lexical:<dim>`` (embedding): the built-in character n-gram
   embedder, :class:`LexicalEmbedder`; :func:`lexical_dim` parses the spec.
 
 API keys are read from the environment variable named in the config and are
 never written to disk. Batch operations preserve input order regardless of
-chunking or request concurrency.
+chunking or request concurrency. Service embeddings can be cached in one
+SQLite file per cache directory, :class:`EmbeddingCache`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import os
 import random
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -174,58 +177,77 @@ def _with_retries(cfg: ProviderConfig, call: Callable[[], dict]) -> dict:
 # Embedding cache
 
 class EmbeddingCache:
-    """Content-addressed on-disk cache for embeddings.
+    """Content-addressed embedding cache in one SQLite file, ``<root>/cache.sqlite3``.
 
-    One ``.npy`` file per (backend, model, text) entry under ``entries/``,
-    written atomically (temp file + rename) so a crash mid-write never
-    corrupts committed entries, plus an append-only ``manifest.jsonl``.
-    Concurrent readers are safe; writes are serialized per process.
+    One row per (backend, model, text): the sha256 :meth:`key` and the vector
+    as little-endian float64 bytes; the text itself is never stored. The first
+    writer of a key wins. Processes share the file through SQLite's WAL
+    journal; the threads of one process share one connection under a lock. A
+    row that does not decode to a non-empty finite vector is deleted and read
+    as a miss, so the caller fetches that text again.
     """
 
     def __init__(self, root: str | Path) -> None:
+        import sqlite3
+
         self.root = Path(root)
-        self.entries = self.root / "entries"
-        self.entries.mkdir(parents=True, exist_ok=True)
-        self.manifest = self.root / "manifest.jsonl"
+        self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        busy_s = 60.0  # how long to wait for another process's lock
+        self._db = sqlite3.connect(
+            self.root / "cache.sqlite3",
+            timeout=busy_s,
+            isolation_level=None,
+            check_same_thread=False,
+        )
+        # a connection is freed only when closed, not when its owner is dropped
+        weakref.finalize(self, self._db.close)
+        # Switching a new file to WAL fails at once, without the busy timeout,
+        # while another process switches it; retry until that one is done.
+        deadline = time.monotonic() + busy_s
+        while True:
+            try:
+                self._db.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
+        # every commit need not reach the disk: a lost entry is fetched again
+        self._db.execute("PRAGMA synchronous=NORMAL")
+        # reads are point lookups that the OS page cache serves anyway
+        self._db.execute("PRAGMA cache_size=-64")
+        self._db.execute(
+            "CREATE TABLE IF NOT EXISTS embeddings "
+            "(key TEXT PRIMARY KEY, vector BLOB NOT NULL) WITHOUT ROWID"
+        )
 
     @staticmethod
     def key(backend_id: str, model_id: str, text: str) -> str:
         payload = json.dumps([backend_id, model_id, text], ensure_ascii=False)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
-    def _entry_path(self, key: str) -> Path:
-        return self.entries / f"{key}.npy"
-
     def get(self, backend_id: str, model_id: str, text: str) -> np.ndarray | None:
-        path = self._entry_path(self.key(backend_id, model_id, text))
-        if not path.exists():
+        key = self.key(backend_id, model_id, text)
+        with self._lock:
+            row = self._db.execute(
+                "SELECT vector FROM embeddings WHERE key = ?", (key,)
+            ).fetchone()
+        if row is None:
             return None
-        return np.load(path)
+        blob = row[0]
+        if isinstance(blob, bytes) and blob and len(blob) % 8 == 0:
+            values = np.frombuffer(blob, dtype="<f8")
+            if np.isfinite(values).all():
+                return values
+        with self._lock:
+            self._db.execute("DELETE FROM embeddings WHERE key = ?", (key,))
+        return None
 
     def put(self, backend_id: str, model_id: str, text: str, values: np.ndarray) -> None:
-        key = self.key(backend_id, model_id, text)
-        path = self._entry_path(key)
+        row = (self.key(backend_id, model_id, text), np.asarray(values, dtype="<f8").tobytes())
         with self._lock:
-            if path.exists():
-                return
-            # np.save appends .npy when missing, so keep the suffix on the temp name
-            tmp = path.with_name(path.name + ".tmp.npy")
-            np.save(tmp, np.asarray(values, dtype=np.float64))
-            os.replace(tmp, path)
-            with open(self.manifest, "a", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {
-                            "key": key,
-                            "backend_id": backend_id,
-                            "model_id": model_id,
-                            "text_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-                        },
-                        ensure_ascii=False,
-                    )
-                )
-                fh.write("\n")
+            self._db.execute("INSERT OR IGNORE INTO embeddings VALUES (?, ?)", row)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +380,24 @@ def lexical_embed(text: str, dim: int = DEFAULT_LEXICAL_DIM) -> EmbeddingVector:
 def _load_replay(path: str) -> dict[str, str]:
     table: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
                 obj = json.loads(line)
-                table[obj["key"]] = obj["content"]
+            except json.JSONDecodeError:
+                obj = None
+            if not (
+                isinstance(obj, dict)
+                and isinstance(obj.get("key"), str)
+                and isinstance(obj.get("content"), str)
+            ):
+                # re-reading the same file cannot fix it
+                raise _PermanentProviderError(
+                    f"{path}:{lineno}: replay line is not a JSON object "
+                    'with string "key" and "content"'
+                )
+            table[obj["key"]] = obj["content"]
     return table
 
 

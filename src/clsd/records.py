@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -178,6 +179,15 @@ def _read_lines(path: Path) -> Iterator[tuple[int, dict]]:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{lineno}: record is not a JSON object")
+            # strict UTF-8 decoding refuses encoded surrogates, so a lone one
+            # can only come from a \u escape, and no output could encode it
+            if "\\u" in line:
+                try:
+                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise DataError(
+                        f"{path}:{lineno}: lone UTF-16 surrogate escape in a string"
+                    ) from exc
             yield lineno, obj
 
 
@@ -195,12 +205,17 @@ def _str(obj: dict, key: str, ctx: str) -> str:
 
 
 def _write_atomic_text(path: Path, content: str) -> None:
-    # temp file + rename: a crash mid-write never leaves a half-written artifact
+    # temp file + rename: a crash mid-write never leaves a half-written artifact;
+    # the temp name is per process and thread so concurrent writers never share it
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(content)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            fh.write(content)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_jsonl(path: Path, objs: Sequence[dict]) -> None:

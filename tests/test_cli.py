@@ -203,6 +203,26 @@ class TestGenerate:
         assert code == 1
         assert "no 'chat' section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        ["not json", '["key", "content"]', '{"content": "x"}', '{"key": "k", "content": 5}'],
+    )
+    def test_malformed_replay_line_skips_every_pair(self, tmp_path, replay_path, bad_line, capsys):
+        replay = tmp_path / "replies.jsonl"
+        replay.write_text(replay_path.read_text(encoding="utf-8") + bad_line + "\n", encoding="utf-8")
+        bad_lineno = len(replay.read_text(encoding="utf-8").splitlines())
+        out = tmp_path / "g.jsonl"
+        config = write_config(tmp_path / "cfg.json", replay=replay)
+        code = run(["generate", "--corpus", str(CORPUS_PATH), "--config", str(config),
+                    "--out", str(out)])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        log = out.with_name(out.name + ".log.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(log) == 20
+        for row in map(json.loads, log):
+            assert (row["outcome"], row["attempts"]) == ("skipped", 1)
+            assert f"{replay}:{bad_lineno}" in row["message"]
+
 
 class TestValidate:
     def test_clean_dataset(self, dataset_path, capsys):
@@ -291,6 +311,18 @@ class TestEval:
         assert report.dataset_id == "fixture"
         assert report.backend_id == "lexical"
         assert set(read_manifest(out)["inputs"]) == {"dataset"}
+
+    @pytest.mark.parametrize("field", ["source", "id"])
+    def test_lone_surrogate_exit_1(self, tmp_path, dataset_path, field, capsys):
+        obj = json.loads(dataset_path.read_text(encoding="utf-8").splitlines()[0])
+        obj[field] = "Hallo \ud800 Welt"
+        path = tmp_path / "lone.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        for argv in (["validate"], ["eval", "--backend", "lexical", "--out", str(tmp_path / "r.json")]):
+            assert run([*argv, "--dataset", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}:1: lone UTF-16 surrogate")
+            assert "Traceback" not in err
 
     def test_explicit_dim_backend(self, tmp_path, dataset_path):
         out = tmp_path / "r64.json"
@@ -1082,6 +1114,10 @@ class TestArgumentHandling:
             ({"generation": "abc"}, "section 'generation': expected a JSON object"),
             ({"embedding": ["x"]}, "section 'embedding': expected a JSON object"),
             ({"paths": {"output_dir": "out"}}, "section 'paths': unknown keys ['output_dir']"),
+            (
+                {"generation": {"prompt_version": None}},
+                "section 'generation': key 'prompt_version': expected a string",
+            ),
         ],
     )
     def test_bad_config_value_exit_1(self, tmp_path, sections, message, capsys):

@@ -1,10 +1,15 @@
-import hashlib
 import json
+import os
+import sqlite3
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import clsd
 from clsd.errors import DataError, ProviderError
 from clsd.providers import (
     DEFAULT_LEXICAL_DIM,
@@ -322,15 +327,16 @@ class TestRetries:
 
 class TestEmbeddingCache:
     def test_round_trip_and_manifest(self, tmp_path):
+        text = "Der Satz selbst wird nie gespeichert."
         cache = EmbeddingCache(tmp_path / "cache")
-        assert cache.get("b", "m", "text") is None
-        cache.put("b", "m", "text", np.array([1.0, 2.0]))
-        assert np.array_equal(cache.get("b", "m", "text"), [1.0, 2.0])
-        lines = (tmp_path / "cache" / "manifest.jsonl").read_text().splitlines()
-        assert len(lines) == 1
-        entry = json.loads(lines[0])
-        assert entry["key"] == EmbeddingCache.key("b", "m", "text")
-        assert entry["text_sha256"] == hashlib.sha256(b"text").hexdigest()
+        assert cache.get("b", "m", text) is None
+        cache.put("b", "m", text, np.array([1.0, 2.0]))
+        assert np.array_equal(cache.get("b", "m", text), [1.0, 2.0])
+        files = [p for p in (tmp_path / "cache").rglob("*") if p.is_file()]
+        assert (tmp_path / "cache" / "cache.sqlite3") in files
+        assert not (tmp_path / "cache" / "manifest.jsonl").exists()
+        assert not (tmp_path / "cache" / "entries").exists()
+        assert not any(text.encode("utf-8") in p.read_bytes() for p in files)
 
     def test_second_put_is_a_no_op(self, tmp_path):
         cache = EmbeddingCache(tmp_path / "cache")
@@ -357,6 +363,80 @@ class TestEmbeddingCache:
         second = embed_batch(cfg, ["a", "b"], cache=cache, transport=RecordingTransport([]))
         for x, y in zip(first, second):
             assert np.array_equal(x.values, y.values)
+
+    @pytest.mark.parametrize(
+        "blob", [b"\x00" * 7, b"", np.array([1.0, np.nan]).tobytes()], ids=["7-bytes", "empty", "nan"]
+    )
+    def test_undecodable_row_is_a_miss_and_rewritten(self, tmp_path, blob):
+        cfg = embedding_config()
+        cache = EmbeddingCache(tmp_path / "cache")
+        db = sqlite3.connect(tmp_path / "cache" / "cache.sqlite3", isolation_level=None)
+        key = EmbeddingCache.key(cfg.endpoint, cfg.model_id, "a")
+        db.execute("INSERT INTO embeddings VALUES (?, ?)", (key, blob))
+        transport = RecordingTransport([{"data": [{"index": 0, "embedding": [3.0, 4.0]}]}])
+        (vector,) = embed_batch(cfg, ["a"], cache=cache, transport=transport)
+        assert len(transport.calls) == 1
+        assert np.array_equal(vector.values, [3.0, 4.0])
+        (stored,) = db.execute("SELECT vector FROM embeddings WHERE key = ?", (key,)).fetchone()
+        assert np.array_equal(np.frombuffer(stored, dtype="<f8"), [3.0, 4.0])
+        db.close()
+
+    def test_two_processes_put_the_same_keys(self, tmp_path):
+        # Both children wait until both are ready, then create the cache and put
+        # 500 keys, each with its own vector.
+        child = """
+import sys, time
+from pathlib import Path
+import numpy as np
+from clsd.providers import EmbeddingCache
+root, me = Path(sys.argv[1]), float(sys.argv[2])
+(root / f"ready{me}").touch()
+deadline = time.monotonic() + 30
+while len(list(root.glob("ready*"))) < 2 and time.monotonic() < deadline:
+    time.sleep(0.001)
+cache = EmbeddingCache(root / "cache")
+for i in range(500):
+    cache.put("b", "m", f"text {i}", np.array([me, float(i)]))
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(clsd.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")])}
+        procs = [
+            subprocess.Popen([sys.executable, "-c", child, str(tmp_path), str(me)],
+                             env=env, stderr=subprocess.PIPE, text=True)
+            for me in (1.0, 2.0)
+        ]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        cache = EmbeddingCache(tmp_path / "cache")
+        for i in range(500):
+            got = cache.get("b", "m", f"text {i}")
+            assert got is not None and got[1] == i and got[0] in (1.0, 2.0)
+
+    def test_threads_share_one_cache(self, tmp_path):
+        cache = EmbeddingCache(tmp_path / "cache")
+        errors = []
+
+        def work(n):
+            try:
+                for i in range(200):
+                    cache.put("b", "m", f"{n} {i}", np.array([n, i], dtype=float))
+                    assert np.array_equal(cache.get("b", "m", f"{n} {i}"), [n, i])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
 
 class TestChatComplete:

@@ -1,5 +1,7 @@
 import json
 import string
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from clsd.records import (
     DiffAnnotation,
     ParallelPair,
     Sentence,
+    _write_atomic_text,
     load_annotations,
     load_clsd_dataset,
     load_parallel_corpus,
@@ -234,6 +237,66 @@ class TestDatasetIO:
         save_clsd_dataset([instance], path)
         loaded = load_clsd_dataset(path)[0]
         assert loaded.distractors[0].text != loaded.target.text
+
+
+    def test_lone_surrogate_escape_names_line(self, tmp_path):
+        lines = {
+            load_parallel_corpus: '{"id": "p", "src_lang": "de", "tgt_lang": "fr", '
+            '"source": "Hallo \\ud800 Welt", "target": "Salut."}',
+            load_annotations: '{"instance_id": "x", "distractor_index": 0, "position": 0, '
+            '"target_token": "\\udfff", "distractor_token": "b", "pos": "NOUN"}',
+        }
+        for loader, line in lines.items():
+            path = tmp_path / "lone.jsonl"
+            path.write_text("\n" + line + "\n", encoding="utf-8")
+            with pytest.raises(DataError, match=r"lone\.jsonl:2: lone UTF-16 surrogate"):
+                loader(path)
+
+    def test_surrogate_pair_escape_loads(self, tmp_path):
+        path = tmp_path / "pair.jsonl"
+        path.write_text(
+            '{"id": "p", "src_lang": "de", "tgt_lang": "fr", '
+            '"source": "Hallo \\ud83d\\ude00", "target": "Salut."}\n',
+            encoding="utf-8",
+        )
+        assert load_parallel_corpus(path)[0].source.text == "Hallo \U0001F600"
+
+
+class TestAtomicWrite:
+    def test_concurrent_writers_of_one_path(self, tmp_path):
+        path = tmp_path / "out.txt"
+        contents = [f"writer {n}\n" * 1000 for n in range(4)]
+        errors = []
+
+        def write(content):
+            try:
+                for _ in range(100):
+                    _write_atomic_text(path, content)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(c,)) for c in contents]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert path.read_text(encoding="utf-8") in contents
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "o2.txt"
+        path.write_text("old", encoding="utf-8")
+        with pytest.raises(UnicodeEncodeError):
+            _write_atomic_text(path, "x\ud800")
+        assert [p.name for p in tmp_path.iterdir()] == ["o2.txt"]
+        assert path.read_text(encoding="utf-8") == "old"
 
 
 def make_pivot(id="x1", distractor_texts=None):
