@@ -158,6 +158,14 @@ def normalized_shift(sim_pair: float, sim_distractor: float, value: float) -> fl
     return (sim_distractor - sim_pair) / value
 
 
+def _shifts(vs, vt, vd, value: float) -> tuple[float, float]:
+    """(cross, mono) shift of distractor ``vd``; mono needs no source vector."""
+    return (
+        normalized_shift(cosine(vs, vt), cosine(vs, vd), value),
+        normalized_shift(1.0, cosine(vt, vd), value),
+    )
+
+
 def cross_shift(
     embedder: Embedder,
     source: Sentence,
@@ -166,8 +174,7 @@ def cross_shift(
     norm: NormalizationFactor,
 ) -> float:
     """Shift of the source-distractor similarity relative to source-target."""
-    vs, vt, vd = embedder.embed([source.text, target.text, distractor.text])
-    return normalized_shift(cosine(vs, vt), cosine(vs, vd), norm.value)
+    return _shifts(*embedder.embed([source.text, target.text, distractor.text]), norm.value)[0]
 
 
 def mono_shift(
@@ -181,7 +188,7 @@ def mono_shift(
     cosine(target, target) = 1, so the result is never positive.
     """
     vt, vd = embedder.embed([target.text, distractor.text])
-    return normalized_shift(1.0, cosine(vt, vd), norm.value)
+    return _shifts(vt, vt, vd, norm.value)[1]
 
 
 @dataclass(frozen=True)
@@ -318,13 +325,14 @@ def shift_analysis(
         vs = by_text[inst.source.text]
         vt = by_text[inst.target.text]
         vd = by_text[distractor.text]
+        cross, mono = _shifts(vs, vt, vd, norm.value)
         records.append(
             ShiftRecord(
                 instance_id=ann.instance_id,
                 distractor_index=ann.distractor_index,
                 pos=ann.pos,
-                cross_shift=normalized_shift(cosine(vs, vt), cosine(vs, vd), norm.value),
-                mono_shift=normalized_shift(1.0, cosine(vt, vd), norm.value),
+                cross_shift=cross,
+                mono_shift=mono,
             )
         )
     return _build_table(records)

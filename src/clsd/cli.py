@@ -129,7 +129,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise DataError(f"{path}: config must be a JSON object")

@@ -176,7 +176,7 @@ def load_eval_report(path: str | Path) -> EvalReport:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     try:
         results = tuple(

@@ -139,6 +139,12 @@ def _http_transport(cfg: ProviderConfig) -> Transport:
             raise ProviderError(f"transport failure for {endpoint}: {exc}") from exc
         if resp.status_code >= 500:
             raise ProviderError(f"{endpoint} returned {resp.status_code}")
+        if resp.status_code in (408, 429):
+            # request timeout / too many requests: the server asks to come back
+            raise _RetryLaterError(
+                f"{endpoint} returned {resp.status_code}",
+                _retry_after_s(resp.headers.get("Retry-After", "")),
+            )
         if resp.status_code >= 400:
             # Client errors are not retryable; fail loudly with the payload.
             raise _PermanentProviderError(
@@ -156,6 +162,20 @@ class _PermanentProviderError(ProviderError):
     """Provider failure that retrying cannot fix."""
 
 
+class _RetryLaterError(ProviderError):
+    """Retryable refusal; ``wait_s`` is the server's ``Retry-After``, or 0."""
+
+    def __init__(self, message: str, wait_s: float) -> None:
+        super().__init__(message)
+        self.wait_s = wait_s
+
+
+def _retry_after_s(header: str) -> float:
+    """Seconds named by a delay-seconds ``Retry-After``, capped; else 0."""
+    header = header.strip()
+    return min(float(header), _REQUEST_TIMEOUT_S) if header.isdecimal() else 0.0
+
+
 def _with_retries(cfg: ProviderConfig, call: Callable[[], dict]) -> dict:
     last: ProviderError | None = None
     for attempt in range(cfg.retry_attempts):
@@ -167,7 +187,10 @@ def _with_retries(cfg: ProviderConfig, call: Callable[[], dict]) -> dict:
             last = exc
             if attempt + 1 < cfg.retry_attempts:
                 backoff = cfg.retry_base_ms / 1000.0 * (2**attempt)
-                time.sleep(backoff * (1.0 + random.random() * 0.25))
+                wait = backoff * (1.0 + random.random() * 0.25)
+                if isinstance(exc, _RetryLaterError):
+                    wait = max(wait, exc.wait_s)
+                time.sleep(wait)
     raise ProviderError(
         f"giving up after {cfg.retry_attempts} attempts: {last}"
     ) from last
@@ -194,33 +217,35 @@ class EmbeddingCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         busy_s = 60.0  # how long to wait for another process's lock
-        self._db = sqlite3.connect(
-            self.root / "cache.sqlite3",
-            timeout=busy_s,
-            isolation_level=None,
-            check_same_thread=False,
-        )
-        # a connection is freed only when closed, not when its owner is dropped
-        weakref.finalize(self, self._db.close)
-        # Switching a new file to WAL fails at once, without the busy timeout,
-        # while another process switches it; retry until that one is done.
-        deadline = time.monotonic() + busy_s
-        while True:
-            try:
-                self._db.execute("PRAGMA journal_mode=WAL")
-                break
-            except sqlite3.OperationalError as exc:
-                if "locked" not in str(exc) or time.monotonic() > deadline:
-                    raise
-                time.sleep(0.01)
-        # every commit need not reach the disk: a lost entry is fetched again
-        self._db.execute("PRAGMA synchronous=NORMAL")
-        # reads are point lookups that the OS page cache serves anyway
-        self._db.execute("PRAGMA cache_size=-64")
-        self._db.execute(
-            "CREATE TABLE IF NOT EXISTS embeddings "
-            "(key TEXT PRIMARY KEY, vector BLOB NOT NULL) WITHOUT ROWID"
-        )
+        path = self.root / "cache.sqlite3"
+        try:
+            self._db = sqlite3.connect(
+                path, timeout=busy_s, isolation_level=None, check_same_thread=False
+            )
+            # a connection is freed only when closed, not when its owner is dropped
+            weakref.finalize(self, self._db.close)
+            # Switching a new file to WAL fails at once, without the busy
+            # timeout, while another process switches it; retry until done.
+            deadline = time.monotonic() + busy_s
+            while True:
+                try:
+                    self._db.execute("PRAGMA journal_mode=WAL")
+                    break
+                except sqlite3.OperationalError as exc:
+                    if "locked" not in str(exc) or time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.01)
+            # every commit need not reach the disk: a lost entry is fetched again
+            self._db.execute("PRAGMA synchronous=NORMAL")
+            # reads are point lookups that the OS page cache serves anyway
+            self._db.execute("PRAGMA cache_size=-64")
+            self._db.execute(
+                "CREATE TABLE IF NOT EXISTS embeddings "
+                "(key TEXT PRIMARY KEY, vector BLOB NOT NULL) WITHOUT ROWID"
+            )
+        except sqlite3.DatabaseError as exc:
+            # the file is the user's: report it, never replace it
+            raise DataError(f"{path}: cannot open as an embedding cache: {exc}") from exc
 
     @staticmethod
     def key(backend_id: str, model_id: str, text: str) -> str:
@@ -357,21 +382,14 @@ def lexical_dim(spec: str) -> int | None:
 def lexical_embed(text: str, dim: int = DEFAULT_LEXICAL_DIM) -> EmbeddingVector:
     """Deterministic character 3-gram hashing embedder, L2-normalized.
 
-    An offline baseline for pipeline runs and tests, not a quality claim.
+    Feature hashing (Weinberger et al., ICML 2009): each 3-gram of the
+    lowercased text with a boundary mark at both ends adds 1 to bucket
+    ``SHA-256(seed + gram)[:8] mod dim``; a text with no 3-gram is the first
+    basis vector. An offline baseline, not a quality claim. This is a one-text
+    call of :meth:`LexicalEmbedder.embed`, which hashes each distinct gram
+    once per call and counts buckets with ``np.bincount``.
     """
-    if dim < 8:
-        raise DataError("lexical embedding dimension must be >= 8")
-    counts = np.zeros(dim, dtype=np.float64)
-    padded = _BOUNDARY + text.lower() + _BOUNDARY
-    for i in range(len(padded) - 2):
-        counts[_lexical_bucket(padded[i : i + 3], dim)] += 1.0
-    norm = float(np.linalg.norm(counts))
-    if norm == 0.0:
-        counts[0] = 1.0
-        norm = 1.0
-    return EmbeddingVector(
-        values=counts / norm, backend_id="lexical", model_id=f"char3gram-{dim}"
-    )
+    return LexicalEmbedder(dim).embed([text])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +508,7 @@ class Embedder(Protocol):
 
 
 class LexicalEmbedder:
-    """Offline embedder backed by :func:`lexical_embed`."""
+    """Offline embedder: the character 3-gram vectors of :func:`lexical_embed`."""
 
     def __init__(self, dim: int = DEFAULT_LEXICAL_DIM) -> None:
         if dim < 8:
@@ -500,7 +518,26 @@ class LexicalEmbedder:
         self.model_id = f"char3gram-{dim}"
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        return [lexical_embed(t, self.dim) for t in texts]
+        # each distinct gram is hashed once per call; the memo dies with it
+        buckets: dict[str, int] = {}
+        out = []
+        for text in texts:
+            padded = _BOUNDARY + text.lower() + _BOUNDARY
+            grams = [padded[i : i + 3] for i in range(len(padded) - 2)]
+            for gram in set(grams).difference(buckets):
+                buckets[gram] = _lexical_bucket(gram, self.dim)
+            ids = np.fromiter(map(buckets.__getitem__, grams), np.intp, len(grams))
+            counts = np.bincount(ids, minlength=self.dim).astype(np.float64)
+            norm = float(np.linalg.norm(counts))
+            if norm == 0.0:
+                counts[0] = 1.0
+                norm = 1.0
+            out.append(
+                EmbeddingVector(
+                    values=counts / norm, backend_id=self.backend_id, model_id=self.model_id
+                )
+            )
+        return out
 
 
 class ServiceEmbedder:

@@ -169,26 +169,39 @@ class ValidationReport:
 # JSONL plumbing
 
 def _read_lines(path: Path) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: record is not a JSON object")
-            # strict UTF-8 decoding refuses encoded surrogates, so a lone one
-            # can only come from a \u escape, and no output could encode it
-            if "\\u" in line:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
                 try:
-                    json.dumps(obj, ensure_ascii=False).encode("utf-8")
-                except UnicodeEncodeError as exc:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+                if not isinstance(obj, dict):
+                    raise DataError(f"{path}:{lineno}: record is not a JSON object")
+                # strict UTF-8 decoding refuses encoded surrogates, so a lone one
+                # can only come from a \u escape, and no output could encode it
+                if "\\u" in line:
+                    try:
+                        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                    except UnicodeEncodeError as exc:
+                        raise DataError(
+                            f"{path}:{lineno}: lone UTF-16 surrogate escape in a string"
+                        ) from exc
+                yield lineno, obj
+    except UnicodeDecodeError:
+        # the text layer decodes ahead in chunks, so find the line again
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
                     raise DataError(
-                        f"{path}:{lineno}: lone UTF-16 surrogate escape in a string"
+                        f"{path}:{lineno}: not UTF-8: byte {raw[exc.start]:#04x} "
+                        f"at byte offset {exc.start} of the line"
                     ) from exc
-            yield lineno, obj
+        raise
 
 
 def _get(obj: dict, key: str, ctx: str):

@@ -6,6 +6,14 @@ The ``set`` scheme additionally lowercases, the ``diff`` scheme preserves
 case. Keeping two schemes apart matters: set metrics (Jaccard) should treat
 "Der"/"der" as one word, while swap detection must not conflate an
 inflection change with a case change.
+
+Edit distance is the bit-parallel algorithm of Myers ("A fast bit-vector
+algorithm for approximate string matching based on dynamic programming",
+J. ACM 46(3), 1999) in Hyyrö's form for global Levenshtein distance ("A
+bit-vector algorithm for computing Levenshtein and Damerau edit distances",
+2003), over Python ints so the pattern has no word-size limit. The common
+prefix and suffix are stripped first: distractors are near-copies of their
+target, so little is left for the bit-vector pass.
 """
 
 from __future__ import annotations
@@ -13,8 +21,6 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import DataError
 from .records import Sentence
@@ -65,6 +71,9 @@ class BinTable:
 
 
 def _strip_boundary_punct(token: str) -> str:
+    # no alphanumeric code point is in a P* category
+    if token[0].isalnum() and token[-1].isalnum():
+        return token
     start, end = 0, len(token)
     while start < end and unicodedata.category(token[start]).startswith("P"):
         start += 1
@@ -89,24 +98,42 @@ def levenshtein_distance(a: str, b: str) -> int:
     """Unit-cost edit distance over Unicode scalar values."""
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
+    start, end = 0, min(len(a), len(b))
+    while start < end and a[start] == b[start]:
+        start += 1
+    end_a, end_b = len(a), len(b)
+    while end_a > start and end_b > start and a[end_a - 1] == b[end_b - 1]:
+        end_a -= 1
+        end_b -= 1
+    a, b = a[start:end_a], b[start:end_b]
     if len(b) > len(a):
         a, b = b, a
-    # Row sweep with the insertion chain folded into a running minimum:
-    # row[j] = j + min_{k<=j}(candidate[k] - k).
-    n = len(b)
-    b_codes = np.fromiter((ord(c) for c in b), dtype=np.int64, count=n)
-    offsets = np.arange(n + 1, dtype=np.int64)
-    prev = offsets.copy()
-    cand = np.empty(n + 1, dtype=np.int64)
-    for i, ch in enumerate(a, start=1):
-        cand[0] = i
-        np.minimum(prev[:-1] + (b_codes != ord(ch)), prev[1:] + 1, out=cand[1:])
-        prev = offsets + np.minimum.accumulate(cand - offsets)
-    return int(prev[-1])
+    if not b:
+        return len(a)
+    # Column j of the DP matrix as bit-vectors over the rows of the pattern b:
+    # bit i of pv/mv is set where D[i+1][j] - D[i][j] is +1/-1.
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(b):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << len(b)) - 1
+    last = 1 << (len(b) - 1)
+    pv, mv, score = mask, 0, len(b)
+    for ch in a:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        # the shifted-in 1 is row 0's horizontal delta: D[0][j] = j
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 def levenshtein_similarity(a: str, b: str) -> float:

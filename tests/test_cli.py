@@ -324,6 +324,53 @@ class TestEval:
             assert err.startswith(f"error: {path}:1: lone UTF-16 surrogate")
             assert "Traceback" not in err
 
+    def test_non_utf8_dataset_exit_1(self, tmp_path, dataset_path, capsys):
+        lines = dataset_path.read_bytes().splitlines(keepends=True)
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(lines[0] + lines[1].replace(b'"id": "', b'"id": "\xe9', 1))
+        utf16 = tmp_path / "utf16.jsonl"
+        utf16.write_bytes(b"\xff\xfe" + lines[0].decode("utf-8").encode("utf-16-le"))
+        for bad, where in ((path, "2: not UTF-8: byte 0xe9"), (utf16, "1: not UTF-8: byte 0xff")):
+            for argv in (["validate"], ["eval", "--backend", "lexical", "--out", str(tmp_path / "r.json")]):
+                assert run([*argv, "--dataset", str(bad)]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {bad}:{where}")
+                assert "Traceback" not in err
+
+    def test_non_utf8_config_and_report_exit_1(self, tmp_path, dataset_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"paths": {"cache_dir": "\xe9"}}')
+        out = str(tmp_path / "r.json")
+        for argv in (
+            ["eval", "--dataset", str(dataset_path), "--config", str(bad), "--out", out],
+            ["compare", "--report-a", str(bad), "--report-b", str(bad), "--out", out],
+        ):
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {bad}: invalid JSON: 'utf-8' codec can't decode")
+            assert "Traceback" not in err
+
+    def test_unopenable_cache_file_exit_1_and_kept(self, tmp_path, dataset_path, monkeypatch, capsys):
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        db = cache_dir / "cache.sqlite3"
+        content = b"plain text that a user saved under the cache's file name\n" * 4
+        db.write_bytes(content)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "embedding": {"endpoint": "http://127.0.0.1:9/v1/embeddings", "model_id": "m"},
+            "paths": {"cache_dir": str(cache_dir)},
+        }))
+        argv = ["eval", "--dataset", str(dataset_path), "--config", str(config),
+                "--out", str(tmp_path / "r.json")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {db}: cannot open as an embedding cache: file is not a database")
+        assert "Traceback" not in err
+        assert db.read_bytes() == content
+        assert sorted(p.name for p in cache_dir.iterdir()) == ["cache.sqlite3"]
+
     def test_explicit_dim_backend(self, tmp_path, dataset_path):
         out = tmp_path / "r64.json"
         assert (

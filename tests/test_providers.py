@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import sqlite3
@@ -120,7 +121,50 @@ class TestValueTypes:
             embedding_config(**kwargs)
 
 
+# Vectors of lexical_embed over these texts, hashed: SHA-256 of the
+# concatenated little-endian float64 bytes, recorded with the per-gram loop
+# (one hash and one += 1.0 per gram) that the batched embedder replaced.
+PINNED_TEXTS = (
+    "",
+    "a",
+    "ab",
+    "Der Nasdaq verzeichnete die schlechteste Woche seit vier Jahren.",
+    "DER NASDAQ verzeichnete die schlechteste Woche seit vier Jahren.",
+    "Le Nasdaq a connu sa pire semaine depuis quatre ans.",
+    "aaaaaaaaaaaaaaaaaaaaaaaa",
+    "»Hallo,« sagte sie. 1,5 % — ½ ⅓ Ⅻ",
+    "日本語のテキストと中文文本",
+    "emoji \U0001F600 and math \U0001D538\U0001D539ℂ \U0010FFFF",
+    "İstanbul ǅ ß ẞ Σσς",
+    "tab\tnew\nline  spaces",
+    "x" * 300 + " end",
+)
+PINNED_SHA256 = {
+    8: "5b0e3fe8de870f4785bbcdc1a2807265abd30c14a813168d6339096d01411d7b",
+    128: "f0f93bc82c3c9379d6d40a1e3c9c4e2593916126dbc9a1470a238e8a91d5f02f",
+    512: "a9ed632fa02e8b8fb150144468806c608550e92c98f4f5878f27e9d8d7c2635f",
+}
+
+
 class TestLexicalEmbedder:
+    @pytest.mark.parametrize("dim", sorted(PINNED_SHA256))
+    def test_vectors_pinned_by_sha256(self, dim):
+        digest = hashlib.sha256()
+        for text in PINNED_TEXTS:
+            digest.update(lexical_embed(text, dim).values.astype("<f8").tobytes())
+        assert digest.hexdigest() == PINNED_SHA256[dim]
+
+    @pytest.mark.parametrize("dim", sorted(PINNED_SHA256))
+    def test_batch_equals_one_text_calls(self, dim):
+        # one call shares its gram memo across texts, repeated ones included
+        texts = [*PINNED_TEXTS, *reversed(PINNED_TEXTS)]
+        batched = LexicalEmbedder(dim).embed(texts)
+        single = [lexical_embed(t, dim) for t in texts]
+        assert [v.values.tobytes() for v in batched] == [v.values.tobytes() for v in single]
+        assert {(v.backend_id, v.model_id) for v in batched + single} == {
+            ("lexical", f"char3gram-{dim}")
+        }
+
     def test_unit_norm(self):
         vec = lexical_embed("Der Nasdaq verzeichnete die schlechteste Woche.")
         assert np.linalg.norm(vec.values) == pytest.approx(1.0, abs=1e-12)
@@ -323,6 +367,90 @@ class TestRetries:
         cfg = embedding_config(endpoint="lexica:64", retry_attempts=3)
         with pytest.raises(ProviderError, match="lexica:64"):
             embed_batch(cfg, ["a"])
+
+
+class FakeResponse:
+    def __init__(self, status_code, body=None, headers=None):
+        self.status_code = status_code
+        self.headers = headers or {}
+        self._body = body
+        self.text = json.dumps(body)
+
+    def json(self):
+        return self._body
+
+
+ONE_EMBEDDING = {"data": [{"index": 0, "embedding": [1.0, 0.0]}]}
+
+
+class TestHttpStatusRetries:
+    """Status handling of the HTTP transport, with ``requests.post`` scripted."""
+
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("clsd.providers.time.sleep", calls.append)
+        return calls
+
+    @pytest.fixture
+    def serve(self, monkeypatch):
+        posts = []
+
+        def install(*responses):
+            queue = list(responses)
+
+            def post(endpoint, json, headers, timeout):
+                posts.append(json)
+                return queue.pop(0)
+
+            monkeypatch.setattr("requests.post", post)
+            return posts
+
+        return install
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_retried_then_served(self, serve, sleeps, status):
+        posts = serve(FakeResponse(status), FakeResponse(200, ONE_EMBEDDING))
+        vectors = embed_batch(embedding_config(), ["a"])
+        assert vectors[0].values.tolist() == [1.0, 0.0]
+        assert len(posts) == 2
+        # no Retry-After: the configured backoff, 1 ms plus up to 25% jitter
+        assert len(sleeps) == 1 and 0.001 <= sleeps[0] <= 0.00125
+
+    @pytest.mark.parametrize(
+        "header,wait",
+        [("3", 3.0), (" 7 ", 7.0), ("3600", 60.0), ("0", None), ("1.5", None),
+         ("-2", None), ("Wed, 21 Oct 2015 07:28:00 GMT", None)],
+    )
+    def test_retry_after_seconds_honoured_and_capped(self, serve, sleeps, header, wait):
+        serve(FakeResponse(429, headers={"Retry-After": header}), FakeResponse(200, ONE_EMBEDDING))
+        embed_batch(embedding_config(), ["a"])
+        assert len(sleeps) == 1
+        if wait is None:  # not delay-seconds, or zero: the backoff alone
+            assert 0.001 <= sleeps[0] <= 0.00125
+        else:
+            assert sleeps[0] == wait
+
+    def test_throttled_until_attempts_run_out(self, serve, sleeps):
+        posts = serve(*[FakeResponse(429, headers={"Retry-After": "2"})] * 3)
+        with pytest.raises(ProviderError, match="giving up after 3 attempts: .* returned 429"):
+            embed_batch(embedding_config(), ["a"])
+        assert len(posts) == 3
+        assert sleeps == [2.0, 2.0]
+
+    def test_chat_request_retried_after_429(self, serve, sleeps):
+        reply = {"choices": [{"message": {"content": "1. eins"}}]}
+        posts = serve(FakeResponse(429, headers={"Retry-After": "1"}), FakeResponse(200, reply))
+        cfg = ProviderConfig(kind="chat", endpoint="https://svc.test/v1/chat", model_id="c")
+        assert chat_complete(cfg, [("user", "hallo")]) == "1. eins"
+        assert len(posts) == 2 and sleeps == [1.0]
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 404, 413, 422])
+    def test_other_client_errors_not_retried(self, serve, sleeps, status):
+        posts = serve(*[FakeResponse(status, {"error": "no"}, {"Retry-After": "1"})] * 3)
+        with pytest.raises(_PermanentProviderError, match=f"rejected request \\({status}\\)"):
+            embed_batch(embedding_config(), ["a"])
+        assert len(posts) == 1 and sleeps == []
 
 
 class TestEmbeddingCache:

@@ -252,6 +252,24 @@ class TestDatasetIO:
             with pytest.raises(DataError, match=r"lone\.jsonl:2: lone UTF-16 surrogate"):
                 loader(path)
 
+    def test_non_utf8_names_line(self, tmp_path):
+        cases = {
+            b"\xff\xfe" + '{"id": "p"}\n'.encode("utf-16-le"): (1, 0, 0xFF),  # UTF-16
+            b'\n \n{"id": "\xe9t\xe9"}\n': (3, 8, 0xE9),  # Latin-1 after blank lines
+            # cut inside a character, past the text decoder's first chunks
+            b" \n" * 6000 + b'{"id": "\xc3': (6001, 8, 0xC3),
+        }
+        for loader in (load_parallel_corpus, load_annotations, load_clsd_dataset):
+            for raw, (lineno, offset, byte) in cases.items():
+                path = tmp_path / "bad.jsonl"
+                path.write_bytes(raw)
+                with pytest.raises(
+                    DataError,
+                    match=rf"bad\.jsonl:{lineno}: not UTF-8: byte {byte:#04x} "
+                    rf"at byte offset {offset} of the line",
+                ):
+                    loader(path)
+
     def test_surrogate_pair_escape_loads(self, tmp_path):
         path = tmp_path / "pair.jsonl"
         path.write_text(

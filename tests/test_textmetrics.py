@@ -1,7 +1,8 @@
 import string
+import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clsd.errors import DataError
@@ -46,7 +47,57 @@ def dp_levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
+def reference_tokens(text: str, scheme: str) -> tuple[str, ...]:
+    # Independent oracle: strip boundary characters by Unicode category alone.
+    tokens = []
+    for raw in text.split():
+        start, end = 0, len(raw)
+        while start < end and unicodedata.category(raw[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(raw[end - 1]).startswith("P"):
+            end -= 1
+        if start < end:
+            token = raw[start:end]
+            tokens.append(token.lower() if scheme == SCHEME_SET else token)
+    return tuple(tokens)
+
+
+# Few distinct characters, so random strings share many; three outside the BMP.
+EDIT_ALPHABET = "ab äß\u00e9\U0001F600\U0001D538\U0010FFFF"
+
+
+@st.composite
+def edit_pairs(draw):
+    """A string and either an unrelated one or a copy with up to 4 unit edits.
+
+    Lengths reach past 64 and 200, the word-size boundaries of a bit-vector.
+    """
+    chars = st.sampled_from(EDIT_ALPHABET) | st.characters()
+    a = draw(st.text(chars, max_size=draw(st.sampled_from([8, 70, 260]))))
+    if draw(st.booleans()):
+        return a, draw(st.text(chars, max_size=260))
+    b = list(a)
+    for op, pos, ch in draw(
+        st.lists(st.tuples(st.sampled_from("ids"), st.integers(0, 300), chars), max_size=4)
+    ):
+        if op == "i":
+            b.insert(pos % (len(b) + 1), ch)
+        elif b:
+            if op == "d":
+                del b[pos % len(b)]
+            else:
+                b[pos % len(b)] = ch
+    return a, "".join(b)
+
+
 class TestTokenize:
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text())
+    @example(text="»Hallo,« sagte sie. 1,5 % ... ¿Qué? (ja) x")
+    def test_matches_category_reference(self, text):
+        for scheme in (SCHEME_DIFF, SCHEME_SET):
+            assert tokenize(text, scheme).tokens == reference_tokens(text, scheme)
+
     def test_empty_text(self):
         assert tokenize("").tokens == ()
 
@@ -108,6 +159,18 @@ class TestLevenshtein:
             a = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 14)))
             b = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 14)))
             assert levenshtein_distance(a, b) == dp_levenshtein(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=edit_pairs())
+    @example(pair=("x" * 201, "x" * 201))
+    @example(pair=("ab" * 40 + "\U0001F600", "ab" * 40 + "\U0001F601"))
+    @example(pair=("a" * 65, "b" + "a" * 64))
+    @example(pair=("\U0010FFFF" + "z" * 70, "z" * 70))
+    @example(pair=("abc" * 70, "abd" * 70))
+    def test_matches_dp_oracle_property(self, pair):
+        a, b = pair
+        assert levenshtein_distance(a, b) == dp_levenshtein(a, b)
+        assert levenshtein_distance(b, a) == dp_levenshtein(a, b)
 
     @settings(max_examples=80, deadline=None)
     @given(
