@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .evaluator import EvalReport, cosine
+from .evaluator import EvalReport, _similarity
 from .providers import Embedder
 from .records import ClsdInstance, DiffAnnotation, Sentence, _write_atomic_text
 from .textmetrics import (
@@ -89,18 +89,10 @@ def normalization_factor(
     if len(directions) != 1:
         raise DataError(f"pairs mix directions: {sorted(directions)}")
 
-    texts = list(
-        dict.fromkeys(
-            t for p in pairs for t in (p.source.text, p.target.text)
-        )
-    )
-    by_text = dict(zip(texts, embedder.embed(texts)))
-    sources = [by_text[p.source.text] for p in pairs]
-    targets = [by_text[p.target.text] for p in pairs]
-
-    parallel = [cosine(s, t) for s, t in zip(sources, targets)]
+    sim = _similarity(embedder, (t for p in pairs for t in (p.source.text, p.target.text)))
+    parallel = [sim(p.source.text, p.target.text) for p in pairs]
     perm = derangement(len(pairs), seed)
-    unrelated = [cosine(sources[i], targets[perm[i]]) for i in range(len(pairs))]
+    unrelated = [sim(p.source.text, pairs[j].target.text) for p, j in zip(pairs, perm)]
 
     value = float(np.mean(parallel) - np.mean(unrelated))
     if value <= _DEGENERATE_EPS:
@@ -158,11 +150,11 @@ def normalized_shift(sim_pair: float, sim_distractor: float, value: float) -> fl
     return (sim_distractor - sim_pair) / value
 
 
-def _shifts(vs, vt, vd, value: float) -> tuple[float, float]:
-    """(cross, mono) shift of distractor ``vd``; mono needs no source vector."""
+def _shifts(sim, source: str, target: str, distractor: str, value: float) -> tuple[float, float]:
+    """(cross, mono) shift of ``distractor`` under similarity ``sim``; mono needs no source."""
     return (
-        normalized_shift(cosine(vs, vt), cosine(vs, vd), value),
-        normalized_shift(1.0, cosine(vt, vd), value),
+        normalized_shift(sim(source, target), sim(source, distractor), value),
+        normalized_shift(1.0, sim(target, distractor), value),
     )
 
 
@@ -174,7 +166,8 @@ def cross_shift(
     norm: NormalizationFactor,
 ) -> float:
     """Shift of the source-distractor similarity relative to source-target."""
-    return _shifts(*embedder.embed([source.text, target.text, distractor.text]), norm.value)[0]
+    texts = (source.text, target.text, distractor.text)
+    return _shifts(_similarity(embedder, texts), *texts, norm.value)[0]
 
 
 def mono_shift(
@@ -187,8 +180,8 @@ def mono_shift(
 
     cosine(target, target) = 1, so the result is never positive.
     """
-    vt, vd = embedder.embed([target.text, distractor.text])
-    return _shifts(vt, vt, vd, norm.value)[1]
+    sim = _similarity(embedder, (target.text, distractor.text))
+    return _shifts(sim, target.text, target.text, distractor.text, norm.value)[1]
 
 
 @dataclass(frozen=True)
@@ -287,7 +280,7 @@ def shift_analysis(
         raise DataError("shift_analysis requires at least one annotation")
     by_id = {inst.id: inst for inst in dataset}
 
-    resolved: list[tuple[DiffAnnotation, ClsdInstance, Sentence]] = []
+    resolved: list[tuple[DiffAnnotation, tuple[str, str, str]]] = []
     for ann in annotations:
         where = f"annotation {ann.instance_id}/{ann.distractor_index}"
         inst = by_id.get(ann.instance_id)
@@ -309,23 +302,12 @@ def shift_analysis(
                 f"({ann.position}, {ann.target_token!r}, {ann.distractor_token!r})"
                 f" vs ({diff.position}, {diff.target_token!r}, {diff.distractor_token!r})"
             )
-        resolved.append((ann, inst, distractor))
+        resolved.append((ann, (inst.source.text, inst.target.text, distractor.text)))
 
-    texts = list(
-        dict.fromkeys(
-            t
-            for _, inst, distractor in resolved
-            for t in (inst.source.text, inst.target.text, distractor.text)
-        )
-    )
-    by_text = dict(zip(texts, embedder.embed(texts)))
-
+    sim = _similarity(embedder, (t for _, texts in resolved for t in texts))
     records = []
-    for ann, inst, distractor in resolved:
-        vs = by_text[inst.source.text]
-        vt = by_text[inst.target.text]
-        vd = by_text[distractor.text]
-        cross, mono = _shifts(vs, vt, vd, norm.value)
+    for ann, texts in resolved:
+        cross, mono = _shifts(sim, *texts, norm.value)
         records.append(
             ShiftRecord(
                 instance_id=ann.instance_id,

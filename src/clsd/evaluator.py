@@ -15,32 +15,51 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .providers import Embedder, EmbeddingVector, Translator
+from .providers import Embedder, Translator
 from .records import ClsdInstance, Sentence, _write_atomic_text
 
 MODE_DIRECT = "direct"
 MODE_PIVOT = "pivot"
 
 
-def cosine(u: EmbeddingVector | np.ndarray, v: EmbeddingVector | np.ndarray) -> float:
-    """Cosine similarity, clamped to [-1, 1] against float overshoot."""
-    a = u.values if isinstance(u, EmbeddingVector) else np.asarray(u, dtype=np.float64)
-    b = v.values if isinstance(v, EmbeddingVector) else np.asarray(v, dtype=np.float64)
+def _cosines(rows: dict) -> Callable[..., float]:
+    """Cosine of ``rows[a]`` and ``rows[b]``, clamped to [-1, 1] against float overshoot.
+
+    Each row's norm is computed once. Each pair stays one ``np.dot`` of two
+    rows: a batched product such as ``einsum`` or ``M @ v`` can round
+    differently in the last bit, and the strict ``>`` tie rule sees
+    unrounded values.
+    """
+    norms = {key: float(np.linalg.norm(row)) for key, row in rows.items()}
+    if 0.0 in norms.values():
+        raise DataError("cosine undefined for zero vector")
+
+    def sim(a, b) -> float:
+        return max(-1.0, min(1.0, float(np.dot(rows[a], rows[b]) / (norms[a] * norms[b]))))
+
+    return sim
+
+
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity of two 1-d vectors, clamped to [-1, 1]."""
+    a = np.asarray(u, dtype=np.float64)
+    b = np.asarray(v, dtype=np.float64)
     if a.ndim != 1 or b.ndim != 1:
         raise DataError("cosine requires 1-d vectors")
     if a.size != b.size:
         raise DataError(f"dimension mismatch: {a.size} vs {b.size}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise DataError("cosine undefined for zero vector")
-    value = float(np.dot(a, b) / (norm_a * norm_b))
-    return max(-1.0, min(1.0, value))
+    return _cosines({0: a, 1: b})(0, 1)
+
+
+def _similarity(embedder: Embedder, texts: Iterable[str]) -> Callable[[str, str], float]:
+    """:func:`cosine` between any two of ``texts``, each unique text embedded once."""
+    unique = list(dict.fromkeys(texts))
+    return _cosines(dict(zip(unique, embedder.embed(unique))))
 
 
 @dataclass(frozen=True)
@@ -124,16 +143,11 @@ def evaluate(
         raise DataError("dataset mixes direct and pivot instances")
     mode = MODE_DIRECT if kinds.pop() else MODE_PIVOT
 
-    unique_texts = list(
-        dict.fromkeys(t for inst in dataset for t in _candidate_texts(inst))
-    )
-    by_text = dict(zip(unique_texts, embedder.embed(unique_texts)))
-
+    sim = _similarity(embedder, (t for inst in dataset for t in _candidate_texts(inst)))
     results = []
     for inst in dataset:
-        texts = _candidate_texts(inst)
-        source = by_text[texts[0]]
-        sims = [cosine(source, by_text[t]) for t in texts[1:]]
+        source, *candidates = _candidate_texts(inst)
+        sims = [sim(source, t) for t in candidates]
         results.append(_result_from_sims(inst.id, sims[0], sims[1:]))
 
     return EvalReport(

@@ -12,11 +12,16 @@ Wire protocol is the common JSON shape spoken by most model servers:
 Offline endpoint schemes, used by tests and desk-scale runs:
 
 * ``replay:<file.jsonl>`` (chat): each line ``{"key", "content"}``; the key is
-  matched against the final user message verbatim. A malformed line fails the
-  request, naming the file and line.
+  matched against the final user message verbatim. A malformed line, or one
+  that is not UTF-8, fails the request, naming the file and line.
 * ``identity:`` (translation): returns inputs unchanged.
 * ``lexical`` / ``lexical:<dim>`` (embedding): the built-in character n-gram
   embedder, :class:`LexicalEmbedder`; :func:`lexical_dim` parses the spec.
+
+Every embedder returns one read-only ``(n, d)`` float64 matrix per batch, row
+``i`` for text ``i``; the embedder object carries ``backend_id`` and
+``model_id``. A service embedding is checked to be a non-empty finite 1-d
+vector where it enters, before it is cached.
 
 API keys are read from the environment variable named in the config and are
 never written to disk. Batch operations preserve input order regardless of
@@ -47,28 +52,6 @@ KIND_CHAT = "chat"
 KIND_TRANSLATION = "translation"
 
 _REQUEST_TIMEOUT_S = 60.0
-
-
-@dataclass(frozen=True)
-class EmbeddingVector:
-    """A finite real vector from a named backend/model; compared by cosine only."""
-
-    values: np.ndarray
-    backend_id: str
-    model_id: str
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size < 1:
-            raise DataError("embedding must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(values)):
-            raise DataError("embedding contains non-finite components")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass(frozen=True)
@@ -224,6 +207,11 @@ class EmbeddingCache:
             )
             # a connection is freed only when closed, not when its owner is dropped
             weakref.finalize(self, self._db.close)
+            # A table of this name with other columns is not ours. Check before
+            # the switch to WAL, which rewrites the file header.
+            columns = [row[1] for row in self._db.execute("PRAGMA table_info(embeddings)")]
+            if columns not in ([], ["key", "vector"]):
+                raise sqlite3.DatabaseError(f"table embeddings has columns {columns}")
             # Switching a new file to WAL fails at once, without the busy
             # timeout, while another process switches it; retry until done.
             deadline = time.monotonic() + busy_s
@@ -283,11 +271,12 @@ def embed_batch(
     texts: Sequence[str],
     cache: EmbeddingCache | None = None,
     transport: Transport | None = None,
-) -> list[EmbeddingVector]:
-    """Embed texts in input order, chunked to ``max_batch`` per request.
+) -> np.ndarray:
+    """Embed texts into one read-only ``(n, d)`` matrix, row ``i`` for ``texts[i]``.
 
-    Duplicate texts are requested once. Cached entries are served without any
-    network traffic; up to ``max_inflight`` chunk requests run concurrently.
+    Requests are chunked to ``max_batch`` texts and duplicate texts are
+    requested once. Cached entries are served without any network traffic;
+    up to ``max_inflight`` chunk requests run concurrently.
     """
     if cfg.kind != KIND_EMBEDDING:
         raise DataError(f"embed_batch needs an embedding config, got {cfg.kind!r}")
@@ -322,11 +311,16 @@ def embed_batch(
             ordered: list[np.ndarray | None] = [None] * len(chunk)
             for entry in data:
                 try:
-                    ordered[int(entry["index"])] = np.asarray(
-                        entry["embedding"], dtype=np.float64
-                    )
+                    index = int(entry["index"])
+                    values = np.asarray(entry["embedding"], dtype=np.float64)
+                    ordered[index] = values
                 except (KeyError, TypeError, ValueError, IndexError) as exc:
                     raise ProviderError(f"malformed embedding entry: {entry!r}") from exc
+                # checked before the cache sees it: a cached row is read back flat
+                if values.ndim != 1 or values.size < 1 or not np.isfinite(values).all():
+                    raise ProviderError(
+                        f"embedding entry {index} is not a non-empty finite 1-d vector"
+                    )
             if any(v is None for v in ordered):
                 raise ProviderError("embedding response misses an index")
             return ordered  # type: ignore[return-value]
@@ -337,18 +331,18 @@ def embed_batch(
             with ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
                 results = list(pool.map(fetch, chunks))
         for chunk, vectors in zip(chunks, results):
-            for text, values in zip(chunk, vectors):
-                by_text[text] = values
-                if cache:
-                    cache.put(backend_id, cfg.model_id, text, values)
+            by_text.update(zip(chunk, vectors))
 
-    dims = {by_text[t].size for t in texts}
+    dims = {values.size for values in by_text.values()}
     if len(dims) != 1:
         raise ProviderError(f"dimension mismatch across batch: {sorted(dims)}")
-    return [
-        EmbeddingVector(values=by_text[t], backend_id=backend_id, model_id=cfg.model_id)
-        for t in texts
-    ]
+    if cache:
+        # only a batch that passed every check is cached
+        for text in misses:
+            cache.put(backend_id, cfg.model_id, text, by_text[text])
+    matrix = np.stack([by_text[t] for t in texts])
+    matrix.setflags(write=False)
+    return matrix
 
 
 DEFAULT_LEXICAL_DIM = 512
@@ -379,15 +373,16 @@ def lexical_dim(spec: str) -> int | None:
     return int(dim)
 
 
-def lexical_embed(text: str, dim: int = DEFAULT_LEXICAL_DIM) -> EmbeddingVector:
+def lexical_embed(text: str, dim: int = DEFAULT_LEXICAL_DIM) -> np.ndarray:
     """Deterministic character 3-gram hashing embedder, L2-normalized.
 
     Feature hashing (Weinberger et al., ICML 2009): each 3-gram of the
     lowercased text with a boundary mark at both ends adds 1 to bucket
     ``SHA-256(seed + gram)[:8] mod dim``; a text with no 3-gram is the first
-    basis vector. An offline baseline, not a quality claim. This is a one-text
-    call of :meth:`LexicalEmbedder.embed`, which hashes each distinct gram
-    once per call and counts buckets with ``np.bincount``.
+    basis vector. An offline baseline, not a quality claim. This is the one
+    read-only row of a one-text :meth:`LexicalEmbedder.embed` call, which
+    returns one ``(n, dim)`` float64 matrix per batch, hashes each distinct
+    gram once per call and counts buckets with ``np.bincount``.
     """
     return LexicalEmbedder(dim).embed([text])[0]
 
@@ -397,25 +392,32 @@ def lexical_embed(text: str, dim: int = DEFAULT_LEXICAL_DIM) -> EmbeddingVector:
 
 def _load_replay(path: str) -> dict[str, str]:
     table: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                obj = None
-            if not (
-                isinstance(obj, dict)
-                and isinstance(obj.get("key"), str)
-                and isinstance(obj.get("content"), str)
-            ):
-                # re-reading the same file cannot fix it
-                raise _PermanentProviderError(
-                    f"{path}:{lineno}: replay line is not a JSON object "
-                    'with string "key" and "content"'
-                )
-            table[obj["key"]] = obj["content"]
+    # Split at \n, \r and \r\n as text mode does, then decode each line alone
+    # so that a bad byte names its line. A bad line is a permanent error:
+    # re-reading the same file cannot fix it.
+    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _PermanentProviderError(
+                f"{path}:{lineno}: replay line is not UTF-8: {exc}"
+            ) from exc
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            obj = None
+        if not (
+            isinstance(obj, dict)
+            and isinstance(obj.get("key"), str)
+            and isinstance(obj.get("content"), str)
+        ):
+            raise _PermanentProviderError(
+                f"{path}:{lineno}: replay line is not a JSON object "
+                'with string "key" and "content"'
+            )
+        table[obj["key"]] = obj["content"]
     return table
 
 
@@ -501,10 +503,12 @@ def translate_batch(
 # Embedder / translator objects consumed by the evaluation layer
 
 class Embedder(Protocol):
+    """Maps a batch of texts to one ``(n, d)`` float64 matrix, row ``i`` for ``texts[i]``."""
+
     backend_id: str
     model_id: str
 
-    def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]: ...
+    def embed(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
 class LexicalEmbedder:
@@ -517,26 +521,23 @@ class LexicalEmbedder:
         self.backend_id = "lexical"
         self.model_id = f"char3gram-{dim}"
 
-    def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         # each distinct gram is hashed once per call; the memo dies with it
         buckets: dict[str, int] = {}
-        out = []
-        for text in texts:
+        out = np.empty((len(texts), self.dim))
+        for row, text in zip(out, texts):
             padded = _BOUNDARY + text.lower() + _BOUNDARY
             grams = [padded[i : i + 3] for i in range(len(padded) - 2)]
             for gram in set(grams).difference(buckets):
                 buckets[gram] = _lexical_bucket(gram, self.dim)
             ids = np.fromiter(map(buckets.__getitem__, grams), np.intp, len(grams))
-            counts = np.bincount(ids, minlength=self.dim).astype(np.float64)
-            norm = float(np.linalg.norm(counts))
+            row[:] = np.bincount(ids, minlength=self.dim)
+            norm = float(np.linalg.norm(row))
             if norm == 0.0:
-                counts[0] = 1.0
-                norm = 1.0
-            out.append(
-                EmbeddingVector(
-                    values=counts / norm, backend_id=self.backend_id, model_id=self.model_id
-                )
-            )
+                row[0] = 1.0
+            else:
+                row /= norm
+        out.setflags(write=False)
         return out
 
 
@@ -555,7 +556,7 @@ class ServiceEmbedder:
         self.backend_id = cfg.endpoint
         self.model_id = cfg.model_id
 
-    def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         return embed_batch(self.cfg, texts, cache=self.cache, transport=self.transport)
 
 

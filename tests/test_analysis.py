@@ -31,12 +31,14 @@ from clsd.errors import DataError
 from clsd.evaluator import (
     EvalReport,
     InstanceResult,
+    cosine,
     evaluate,
     load_eval_report,
     save_eval_report,
 )
-from clsd.providers import EmbeddingVector, LexicalEmbedder
+from clsd.providers import LexicalEmbedder
 from clsd.records import ClsdInstance, DiffAnnotation, ParallelPair, Sentence
+from clsd.textmetrics import single_token_diff
 
 from conftest import (
     FROZEN_BINS_CSV,
@@ -56,12 +58,7 @@ class DictEmbedder:
         self.model_id = model_id
 
     def embed(self, texts):
-        return [
-            EmbeddingVector(
-                values=self.mapping[t], backend_id=self.backend_id, model_id=self.model_id
-            )
-            for t in texts
-        ]
+        return np.stack([self.mapping[t] for t in texts])
 
 
 def unit_norm(value=1.0, direction=("de", "fr"), seed=0):
@@ -697,3 +694,76 @@ class TestCsvRenderers:
             "0.3,0.6,1,0,0.00\n"
             "0,0.3,2,2,50.00\n"
         )
+
+
+class TestSimilarityBitIdentity:
+    """Every similarity the analyses compute equals per-pair ``cosine`` exactly.
+
+    Scoring gathers rows of one embedding matrix; a batched product (einsum,
+    gemv) can differ in the last bit, and the strict ``>`` tie rule sees
+    unrounded values, so the comparison is ``==``, never approx.
+    """
+
+    @staticmethod
+    def random_setup(dim, n, seed):
+        rng = np.random.default_rng(seed)
+        mapping, instances, pairs, annotations = {}, [], [], []
+        for i in range(n):
+            src = rng.normal(size=dim)
+            tgt = src + 0.5 * rng.normal(size=dim)
+            # near-ties with the target: within 1e-12, and one exact copy
+            vectors = [tgt + 1e-12 * rng.normal(size=dim), tgt.copy(),
+                       rng.normal(size=dim), -src]
+            source = Sentence(text=f"quelle {i}", lang="de")
+            target = Sentence(text=f"cible {i} alpha", lang="fr")
+            distractors = tuple(Sentence(text=f"cible {i} d{k}", lang="fr") for k in range(4))
+            mapping[source.text], mapping[target.text] = src, tgt
+            for d, v in zip(distractors, vectors):
+                mapping[d.text] = v
+            instances.append(ClsdInstance(id=f"r{i}", source=source, target=target,
+                                          distractors=distractors, meta={}))
+            pairs.append(ParallelPair(id=f"r{i}", source=source, target=target))
+            for k, d in enumerate(distractors):
+                diff = single_token_diff(target, d)
+                annotations.append(DiffAnnotation(
+                    instance_id=f"r{i}", distractor_index=k, position=diff.position,
+                    target_token=diff.target_token, distractor_token=diff.distractor_token,
+                    pos="NOUN"))
+        return mapping, instances, pairs, annotations
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 300), n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_pair_cosine(self, dim, n, seed):
+        mapping, instances, pairs, annotations = self.random_setup(dim, n, seed)
+        embedder = DictEmbedder(mapping)
+        vec = lambda sentence: mapping[sentence.text]  # noqa: E731
+
+        for inst, result in zip(instances, evaluate(embedder, instances).results):
+            assert result.sim_target == cosine(vec(inst.source), vec(inst.target))
+            assert result.sim_distractors == tuple(
+                cosine(vec(inst.source), vec(d)) for d in inst.distractors
+            )
+
+        parallel = [cosine(vec(p.source), vec(p.target)) for p in pairs]
+        perm = derangement(len(pairs), seed)
+        unrelated = [cosine(vec(p.source), vec(pairs[j].target)) for p, j in zip(pairs, perm)]
+        value = float(np.mean(parallel) - np.mean(unrelated))
+        if value <= 1e-6:
+            with pytest.raises(DataError, match="degenerate"):
+                normalization_factor(embedder, pairs, seed)
+        else:
+            assert normalization_factor(embedder, pairs, seed).value == value
+
+        norm = unit_norm(value=0.37)
+        table = shift_analysis(embedder, instances, annotations, norm)
+        by_id = {inst.id: inst for inst in instances}
+        for record in table.records:
+            inst = by_id[record.instance_id]
+            s, t = vec(inst.source), vec(inst.target)
+            d = vec(inst.distractors[record.distractor_index])
+            cross = normalized_shift(cosine(s, t), cosine(s, d), 0.37)
+            mono = normalized_shift(1.0, cosine(t, d), 0.37)
+            assert (record.cross_shift, record.mono_shift) == (cross, mono)
+            distractor = inst.distractors[record.distractor_index]
+            assert cross_shift(embedder, inst.source, inst.target, distractor, norm) == cross
+            assert mono_shift(embedder, inst.target, distractor, norm) == mono

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -205,12 +206,13 @@ class TestGenerate:
 
     @pytest.mark.parametrize(
         "bad_line",
-        ["not json", '["key", "content"]', '{"content": "x"}', '{"key": "k", "content": 5}'],
+        [b"not json", b'["key", "content"]', b'{"content": "x"}', b'{"key": "k", "content": 5}',
+         b'{"key": "caf\xe9", "content": "x"}'],  # the last one is Latin-1, not UTF-8
     )
     def test_malformed_replay_line_skips_every_pair(self, tmp_path, replay_path, bad_line, capsys):
         replay = tmp_path / "replies.jsonl"
-        replay.write_text(replay_path.read_text(encoding="utf-8") + bad_line + "\n", encoding="utf-8")
-        bad_lineno = len(replay.read_text(encoding="utf-8").splitlines())
+        replay.write_bytes(replay_path.read_bytes() + bad_line + b"\n")
+        bad_lineno = len(replay.read_bytes().splitlines())
         out = tmp_path / "g.jsonl"
         config = write_config(tmp_path / "cfg.json", replay=replay)
         code = run(["generate", "--corpus", str(CORPUS_PATH), "--config", str(config),
@@ -367,6 +369,36 @@ class TestEval:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {db}: cannot open as an embedding cache: file is not a database")
+        assert "Traceback" not in err
+        assert db.read_bytes() == content
+        assert sorted(p.name for p in cache_dir.iterdir()) == ["cache.sqlite3"]
+
+    def test_cache_table_of_another_schema_exit_1_and_kept(
+        self, tmp_path, dataset_path, monkeypatch, capsys
+    ):
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        db = cache_dir / "cache.sqlite3"
+        other = sqlite3.connect(db)
+        other.execute("CREATE TABLE embeddings (text TEXT, data BLOB)")
+        other.execute("INSERT INTO embeddings VALUES ('a', x'00')")
+        other.commit()
+        other.close()
+        content = db.read_bytes()
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "embedding": {"endpoint": "http://127.0.0.1:9/v1/embeddings", "model_id": "m"},
+            "paths": {"cache_dir": str(cache_dir)},
+        }))
+        argv = ["eval", "--dataset", str(dataset_path), "--config", str(config),
+                "--out", str(tmp_path / "r.json")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {db}: cannot open as an embedding cache: "
+            "table embeddings has columns ['text', 'data']"
+        )
         assert "Traceback" not in err
         assert db.read_bytes() == content
         assert sorted(p.name for p in cache_dir.iterdir()) == ["cache.sqlite3"]

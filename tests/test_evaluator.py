@@ -18,7 +18,6 @@ from clsd.evaluator import (
     save_eval_report,
 )
 from clsd.providers import (
-    EmbeddingVector,
     LexicalEmbedder,
     ProviderConfig,
     make_translator,
@@ -41,14 +40,7 @@ class DictEmbedder:
 
     def embed(self, texts):
         self.calls.append(list(texts))
-        return [
-            EmbeddingVector(
-                values=self.mapping[t],
-                backend_id=self.backend_id,
-                model_id=self.model_id,
-            )
-            for t in texts
-        ]
+        return np.stack([self.mapping[t] for t in texts])
 
 
 def crafted_instance(id, sim_target, sim_distractors, dim=8):
@@ -118,11 +110,6 @@ class TestCosine:
     def test_zero_vector(self):
         with pytest.raises(DataError, match="zero vector"):
             cosine(np.zeros(3), np.ones(3))
-
-    def test_accepts_embedding_vectors(self):
-        a = EmbeddingVector(values=np.array([1.0, 0.0]), backend_id="b", model_id="m")
-        b = EmbeddingVector(values=np.array([1.0, 0.0]), backend_id="b", model_id="m")
-        assert cosine(a, b) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestScoreInstance:

@@ -16,7 +16,6 @@ from clsd.providers import (
     DEFAULT_LEXICAL_DIM,
     ChatParams,
     EmbeddingCache,
-    EmbeddingVector,
     LexicalEmbedder,
     ProviderConfig,
     ServiceEmbedder,
@@ -81,21 +80,24 @@ def echo_embeddings(dim=4):
 
 
 class TestValueTypes:
-    def test_embedding_vector_must_be_1d(self):
-        with pytest.raises(DataError):
-            EmbeddingVector(values=np.zeros((2, 2)), backend_id="b", model_id="m")
-
-    def test_embedding_vector_rejects_non_finite(self):
-        with pytest.raises(DataError):
-            EmbeddingVector(
-                values=np.array([1.0, np.nan]), backend_id="b", model_id="m"
-            )
-
-    def test_embedding_vector_is_read_only(self):
-        vec = EmbeddingVector(values=np.ones(3), backend_id="b", model_id="m")
-        assert vec.dim == 3
+    def test_embed_batch_returns_one_read_only_matrix(self):
+        transport = RecordingTransport([echo_embeddings(dim=3)] * 2)
+        matrix = embed_batch(embedding_config(), ["a", "b", "c"], transport=transport)
+        assert (matrix.shape, matrix.dtype) == ((3, 3), np.float64)
         with pytest.raises(ValueError):
-            vec.values[0] = 5.0
+            matrix[0, 0] = 5.0
+
+    def test_lexical_embedder_returns_one_read_only_matrix(self):
+        matrix = LexicalEmbedder(16).embed(["eins", "zwei", ""])
+        assert (matrix.shape, matrix.dtype) == ((3, 16), np.float64)
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 5.0
+
+    def test_lexical_embed_returns_a_read_only_row(self):
+        row = lexical_embed("eins", 16)
+        assert row.shape == (16,)
+        with pytest.raises(ValueError):
+            row[0] = 5.0
 
     def test_chat_params_defaults(self):
         params = ChatParams()
@@ -151,7 +153,7 @@ class TestLexicalEmbedder:
     def test_vectors_pinned_by_sha256(self, dim):
         digest = hashlib.sha256()
         for text in PINNED_TEXTS:
-            digest.update(lexical_embed(text, dim).values.astype("<f8").tobytes())
+            digest.update(lexical_embed(text, dim).astype("<f8").tobytes())
         assert digest.hexdigest() == PINNED_SHA256[dim]
 
     @pytest.mark.parametrize("dim", sorted(PINNED_SHA256))
@@ -160,29 +162,26 @@ class TestLexicalEmbedder:
         texts = [*PINNED_TEXTS, *reversed(PINNED_TEXTS)]
         batched = LexicalEmbedder(dim).embed(texts)
         single = [lexical_embed(t, dim) for t in texts]
-        assert [v.values.tobytes() for v in batched] == [v.values.tobytes() for v in single]
-        assert {(v.backend_id, v.model_id) for v in batched + single} == {
-            ("lexical", f"char3gram-{dim}")
-        }
+        assert [v.tobytes() for v in batched] == [v.tobytes() for v in single]
 
     def test_unit_norm(self):
         vec = lexical_embed("Der Nasdaq verzeichnete die schlechteste Woche.")
-        assert np.linalg.norm(vec.values) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic(self):
         a = lexical_embed("gleicher Text", 64)
         b = lexical_embed("gleicher Text", 64)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_identical_texts_cosine_one(self):
         a = lexical_embed("Hallo Welt")
         b = lexical_embed("Hallo Welt")
-        assert float(a.values @ b.values) == pytest.approx(1.0, abs=1e-12)
+        assert float(a @ b) == pytest.approx(1.0, abs=1e-12)
 
     def test_case_insensitive(self):
         a = lexical_embed("HALLO Welt")
         b = lexical_embed("hallo welt")
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_disjoint_gram_texts_cosine_zero(self):
         left, right = "aaaa", "zzzz"
@@ -196,7 +195,7 @@ class TestLexicalEmbedder:
         buckets_r = {_lexical_bucket(g, DEFAULT_LEXICAL_DIM) for g in grams(right)}
         assert not (buckets_l & buckets_r)
         a, b = lexical_embed(left), lexical_embed(right)
-        assert float(a.values @ b.values) == pytest.approx(0.0, abs=1e-12)
+        assert float(a @ b) == pytest.approx(0.0, abs=1e-12)
 
     def test_abcd_abce_half_overlap(self):
         # Oracle route: cosine in raw gram space, valid because the six grams
@@ -218,11 +217,11 @@ class TestLexicalEmbedder:
         assert oracle == FROZEN_LEXICAL_COSINE_ABCD_ABCE
 
         a, b = lexical_embed("abcd", 512), lexical_embed("abce", 512)
-        assert float(a.values @ b.values) == pytest.approx(oracle, abs=1e-12)
+        assert float(a @ b) == pytest.approx(oracle, abs=1e-12)
 
     def test_empty_text_is_a_unit_vector(self):
         vec = lexical_embed("", 16)
-        assert np.linalg.norm(vec.values) == pytest.approx(1.0)
+        assert np.linalg.norm(vec) == pytest.approx(1.0)
 
     def test_small_dim_rejected(self):
         with pytest.raises(DataError):
@@ -232,9 +231,9 @@ class TestLexicalEmbedder:
 
     def test_lexical_endpoint_needs_no_transport(self):
         cfg = embedding_config(endpoint="lexical:32")
-        vectors = LexicalEmbedder(lexical_dim(cfg.endpoint)).embed(["eins", "zwei"])
-        assert [v.dim for v in vectors] == [32, 32]
-        assert vectors[0].backend_id == "lexical"
+        embedder = LexicalEmbedder(lexical_dim(cfg.endpoint))
+        assert embedder.embed(["eins", "zwei"]).shape == (2, 32)
+        assert embedder.backend_id == "lexical"
 
     def test_lexical_dim_parses_specs(self):
         assert lexical_dim("lexical:32") == 32
@@ -249,8 +248,7 @@ class TestLexicalEmbedder:
     def test_embedder_object_metadata(self):
         emb = LexicalEmbedder(dim=64)
         assert (emb.backend_id, emb.model_id) == ("lexical", "char3gram-64")
-        vectors = emb.embed(["a", "b"])
-        assert [v.dim for v in vectors] == [64, 64]
+        assert emb.embed(["a", "b"]).shape == (2, 64)
 
 
 class TestEmbedBatch:
@@ -282,7 +280,7 @@ class TestEmbedBatch:
         vectors = embed_batch(
             embedding_config(max_batch=8), ["a", "b", "c"], transport=transport
         )
-        assert [v.values[0] for v in vectors] == [1.0, 2.0, 3.0]
+        assert [v[0] for v in vectors] == [1.0, 2.0, 3.0]
 
     def test_duplicates_requested_once(self):
         transport = RecordingTransport([echo_embeddings()])
@@ -290,7 +288,7 @@ class TestEmbedBatch:
             embedding_config(max_batch=8), ["a", "b", "a"], transport=transport
         )
         assert transport.calls[0][1]["input"] == ["a", "b"]
-        assert np.array_equal(vectors[0].values, vectors[2].values)
+        assert np.array_equal(vectors[0], vectors[2])
 
     def test_missing_index_rejected(self):
         transport = RecordingTransport(
@@ -316,6 +314,20 @@ class TestEmbedBatch:
         with pytest.raises(ProviderError, match="dimension mismatch"):
             embed_batch(embedding_config(max_batch=8), ["a", "b"], transport=transport)
 
+    def test_dimension_mismatch_is_not_cached(self, tmp_path):
+        def respond(payload):
+            return {"data": [{"index": i, "embedding": [1.0] * (2 + i)}
+                             for i in range(len(payload["input"]))]}
+
+        cfg = embedding_config(max_batch=8)
+        cache = EmbeddingCache(tmp_path / "cache")
+        with pytest.raises(ProviderError, match="dimension mismatch"):
+            embed_batch(cfg, ["a", "b"], cache=cache, transport=RecordingTransport([respond]))
+        # the service answers right again: the texts are fetched, not read back
+        transport = RecordingTransport([echo_embeddings(dim=2)])
+        assert embed_batch(cfg, ["a", "b"], cache=cache, transport=transport).shape == (2, 2)
+        assert len(transport.calls) == 1
+
     def test_empty_input_rejected(self):
         with pytest.raises(DataError):
             embed_batch(embedding_config(), [])
@@ -324,6 +336,25 @@ class TestEmbedBatch:
         cfg = ProviderConfig(kind="chat", endpoint="e", model_id="m")
         with pytest.raises(DataError):
             embed_batch(cfg, ["a"])
+
+    @pytest.mark.parametrize(
+        "embedding",
+        [[[1.0, 2.0], [3.0, 4.0]], 5.0, [], [1.0, float("nan")]],
+        ids=["2-d", "scalar", "empty", "nan"],
+    )
+    def test_bad_vector_rejected_before_the_cache(self, tmp_path, embedding):
+        # a cached row is read back flat, so a bad vector must never reach it
+        cfg = embedding_config()
+        cache = EmbeddingCache(tmp_path / "cache")
+        good = {"index": 0, "embedding": [1.0, 0.0]}
+        transport = RecordingTransport([{"data": [good, {"index": 1, "embedding": embedding}]}])
+        with pytest.raises(ProviderError, match="entry 1 is not a non-empty finite 1-d vector"):
+            embed_batch(cfg, ["a", "b"], cache=cache, transport=transport)
+        assert len(transport.calls) == 1
+        assert cache.get(cfg.endpoint, cfg.model_id, "b") is None
+        db = sqlite3.connect(tmp_path / "cache" / "cache.sqlite3")
+        assert db.execute("SELECT COUNT(*) FROM embeddings").fetchone() == (0,)
+        db.close()
 
     def test_concurrent_chunks_preserve_order(self):
         transport = RecordingTransport([echo_embeddings()] * 8)
@@ -335,7 +366,7 @@ class TestEmbedBatch:
             for t in texts
         ]
         for got, expected in zip(vectors, solo):
-            assert np.array_equal(got.values, expected.values)
+            assert np.array_equal(got, expected)
 
 
 class TestRetries:
@@ -412,7 +443,7 @@ class TestHttpStatusRetries:
     def test_retried_then_served(self, serve, sleeps, status):
         posts = serve(FakeResponse(status), FakeResponse(200, ONE_EMBEDDING))
         vectors = embed_batch(embedding_config(), ["a"])
-        assert vectors[0].values.tolist() == [1.0, 0.0]
+        assert vectors[0].tolist() == [1.0, 0.0]
         assert len(posts) == 2
         # no Retry-After: the configured backoff, 1 ms plus up to 25% jitter
         assert len(sleeps) == 1 and 0.001 <= sleeps[0] <= 0.00125
@@ -490,7 +521,7 @@ class TestEmbeddingCache:
         # No queued responses: any request would pop from an empty list.
         second = embed_batch(cfg, ["a", "b"], cache=cache, transport=RecordingTransport([]))
         for x, y in zip(first, second):
-            assert np.array_equal(x.values, y.values)
+            assert np.array_equal(x, y)
 
     @pytest.mark.parametrize(
         "blob", [b"\x00" * 7, b"", np.array([1.0, np.nan]).tobytes()], ids=["7-bytes", "empty", "nan"]
@@ -504,7 +535,7 @@ class TestEmbeddingCache:
         transport = RecordingTransport([{"data": [{"index": 0, "embedding": [3.0, 4.0]}]}])
         (vector,) = embed_batch(cfg, ["a"], cache=cache, transport=transport)
         assert len(transport.calls) == 1
-        assert np.array_equal(vector.values, [3.0, 4.0])
+        assert np.array_equal(vector, [3.0, 4.0])
         (stored,) = db.execute("SELECT vector FROM embeddings WHERE key = ?", (key,)).fetchone()
         assert np.array_equal(np.frombuffer(stored, dtype="<f8"), [3.0, 4.0])
         db.close()
