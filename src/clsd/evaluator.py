@@ -13,14 +13,16 @@ original instance id so direct and pivot reports join trivially.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError
-from .providers import Embedder, Translator
+from .errors import ClsdError, DataError
+from .providers import KIND_TRANSLATION, Embedder, ProviderConfig, Translator
 from .records import ClsdInstance, Sentence, _write_atomic_text
 
 MODE_DIRECT = "direct"
@@ -216,6 +218,44 @@ def load_eval_report(path: str | Path) -> EvalReport:
         raise DataError(f"{path}: malformed eval report: {exc}") from exc
 
 
+# A plain callable carries no config: it runs as a translation service with
+# the default batch and one call in flight.
+_PLAIN_TRANSLATOR = ProviderConfig(
+    kind=KIND_TRANSLATION, endpoint="", model_id="", max_inflight=1
+)
+
+
+def _pivot_group(
+    group: Sequence[ClsdInstance], translator: Translator, pivot_lang: str
+) -> list[ClsdInstance]:
+    """Pivot instances that share one language pair: one translator call for
+    their sources, one for their candidates (target, then distractors)."""
+    sources = [inst.source.text for inst in group]
+    candidates = [t for inst in group for t in _candidate_texts(inst)[1:]]
+    translated_sources = translator(sources, group[0].source.lang, pivot_lang)
+    if len(translated_sources) != len(sources):
+        raise DataError(
+            f"count mismatch: sent {len(sources)}, got {len(translated_sources)}"
+        )
+    translated = translator(candidates, group[0].target.lang, pivot_lang)
+    if len(translated) != len(candidates):
+        raise DataError(f"count mismatch: sent {len(candidates)}, got {len(translated)}")
+    out = []
+    for i, inst in enumerate(group):
+        texts = [translated_sources[i], *translated[5 * i : 5 * i + 5]]
+        sentences = [Sentence(text=t, lang=pivot_lang) for t in texts]
+        out.append(
+            ClsdInstance(
+                id=inst.id,
+                source=sentences[0],
+                target=sentences[1],
+                distractors=tuple(sentences[2:]),
+                pivot_lang=pivot_lang,
+            )
+        )
+    return out
+
+
 def pivot_dataset(
     dataset: Sequence[ClsdInstance],
     translator: Translator,
@@ -223,10 +263,18 @@ def pivot_dataset(
 ) -> tuple[list[ClsdInstance], list[tuple[str, str]]]:
     """Translate all six sentences of each instance into ``pivot_lang``.
 
-    Translation runs per instance, batched per source language (one call for
-    the source, one for the five target-language candidates), so a failure
-    is attributable: the instance is skipped and logged, never half-built.
-    Pivot instances keep the original id and carry no meta.
+    Consecutive instances that share a language pair are translated in
+    groups of at most ``max(1, max_batch // 5)``: one call for the group's
+    sources and one for its five candidates each, so the candidates fit one
+    request. Up to ``max_inflight`` groups are in flight at once. Both
+    settings come from the translator's ``cfg`` (see
+    :func:`~clsd.providers.make_translator`); a plain callable runs one group
+    at a time. When a group fails with a :class:`ClsdError` (a provider
+    failure, a wrong count or an invalid instance), its instances are
+    translated again one by one, so each failure is attributable: the
+    instance is skipped with its own reason, never half-built. Any other
+    exception propagates. Output keeps dataset order. Pivot instances keep
+    the original id and carry no meta.
     Returns (pivot instances, [(instance_id, reason), ...] for skips).
     """
     if not dataset:
@@ -237,30 +285,41 @@ def pivot_dataset(
         raise DataError(
             f"pivot language {pivot_lang!r} must differ from both dataset languages"
         )
+    cfg = getattr(translator, "cfg", _PLAIN_TRANSLATOR)
+    size = max(1, cfg.max_batch // 5)
+    groups: list[list[ClsdInstance]] = []
+    for _, run in groupby(dataset, key=lambda inst: (inst.source.lang, inst.target.lang)):
+        run = list(run)
+        groups += [run[i : i + size] for i in range(0, len(run), size)]
+
+    def attempt(group: list[ClsdInstance]) -> list[ClsdInstance | str]:
+        """The group's pivot instances, or each instance's own skip reason."""
+        try:
+            return _pivot_group(group, translator, pivot_lang)
+        except ClsdError as exc:
+            if len(group) == 1:
+                return [str(exc)]
+        outcomes: list[ClsdInstance | str] = []
+        for inst in group:
+            try:
+                outcomes.extend(_pivot_group([inst], translator, pivot_lang))
+            except ClsdError as exc:  # skip, never abort the whole run
+                outcomes.append(str(exc))
+        return outcomes
+
+    if len(groups) == 1 or cfg.max_inflight == 1:
+        results = [attempt(g) for g in groups]
+    else:
+        with ThreadPoolExecutor(max_workers=min(cfg.max_inflight, len(groups))) as pool:
+            results = list(pool.map(attempt, groups))
     out: list[ClsdInstance] = []
     skipped: list[tuple[str, str]] = []
-    for inst in dataset:
-        candidates = [inst.target.text] + [d.text for d in inst.distractors]
-        try:
-            (source_text,) = translator([inst.source.text], inst.source.lang, pivot_lang)
-            translated = translator(candidates, inst.target.lang, pivot_lang)
-            if len(translated) != len(candidates):
-                raise DataError(
-                    f"count mismatch: sent {len(candidates)}, got {len(translated)}"
-                )
-            pivot = ClsdInstance(
-                id=inst.id,
-                source=Sentence(text=source_text, lang=pivot_lang),
-                target=Sentence(text=translated[0], lang=pivot_lang),
-                distractors=tuple(
-                    Sentence(text=t, lang=pivot_lang) for t in translated[1:]
-                ),
-                pivot_lang=pivot_lang,
-            )
-        except Exception as exc:  # skip, never abort the whole run
-            skipped.append((inst.id, str(exc)))
-            continue
-        out.append(pivot)
+    for group, outcomes in zip(groups, results):
+        for inst, outcome in zip(group, outcomes):
+            if isinstance(outcome, str):
+                skipped.append((inst.id, outcome))
+            else:
+                out.append(outcome)
     return out, skipped
 
 

@@ -12,8 +12,11 @@ Wire protocol is the common JSON shape spoken by most model servers:
 Offline endpoint schemes, used by tests and desk-scale runs:
 
 * ``replay:<file.jsonl>`` (chat): each line ``{"key", "content"}``; the key is
-  matched against the final user message verbatim. A malformed line, or one
-  that is not UTF-8, fails the request, naming the file and line.
+  matched against the final user message verbatim. The file is parsed once
+  and kept in one slot keyed by its path, inode, size and mtime, so it is
+  read again when it changes and reading another file drops the old table.
+  A malformed line, or one that is not UTF-8, fails every request, naming
+  the file and line.
 * ``identity:`` (translation): returns inputs unchanged.
 * ``lexical`` / ``lexical:<dim>`` (embedding): the built-in character n-gram
   embedder, :class:`LexicalEmbedder`; :func:`lexical_dim` parses the spec.
@@ -26,7 +29,9 @@ vector where it enters, before it is cached.
 API keys are read from the environment variable named in the config and are
 never written to disk. Batch operations preserve input order regardless of
 chunking or request concurrency. Service embeddings can be cached in one
-SQLite file per cache directory, :class:`EmbeddingCache`.
+SQLite file per cache directory, :class:`EmbeddingCache`. A translator from
+:func:`make_translator` carries its config, so callers can size and overlap
+their requests by its ``max_batch`` and ``max_inflight``.
 """
 
 from __future__ import annotations
@@ -311,11 +316,18 @@ def embed_batch(
             ordered: list[np.ndarray | None] = [None] * len(chunk)
             for entry in data:
                 try:
-                    index = int(entry["index"])
+                    index = entry["index"]
                     values = np.asarray(entry["embedding"], dtype=np.float64)
-                    ordered[index] = values
-                except (KeyError, TypeError, ValueError, IndexError) as exc:
+                except (KeyError, TypeError, ValueError) as exc:
                     raise ProviderError(f"malformed embedding entry: {entry!r}") from exc
+                # a list index would also take -1, and int() would take "0" or 1.5
+                if not (
+                    isinstance(index, int)
+                    and not isinstance(index, bool)
+                    and 0 <= index < len(chunk)
+                ):
+                    raise ProviderError(f"malformed embedding entry: {entry!r}")
+                ordered[index] = values
                 # checked before the cache sees it: a cached row is read back flat
                 if values.ndim != 1 or values.size < 1 or not np.isfinite(values).all():
                     raise ProviderError(
@@ -421,6 +433,27 @@ def _load_replay(path: str) -> dict[str, str]:
     return table
 
 
+# The table of the replay file read last, keyed by its path and stat. One
+# slot, so memory does not grow with the number of files a process reads.
+_replay_lock = threading.Lock()
+_replay_slot: tuple[tuple, dict[str, str]] | None = None
+
+
+def _replay_table(path: str) -> dict[str, str]:
+    """The parsed ``replay:`` file, read again only when its stat changes.
+
+    A parse error is raised, never stored, so every request on a bad file
+    fails with its file and line.
+    """
+    global _replay_slot
+    st = os.stat(path)
+    key = (path, st.st_ino, st.st_size, st.st_mtime_ns)
+    with _replay_lock:
+        if _replay_slot is None or _replay_slot[0] != key:
+            _replay_slot = (key, _load_replay(path))
+        return _replay_slot[1]
+
+
 def chat_complete(
     cfg: ProviderConfig,
     messages: Sequence[tuple[str, str]] | Sequence[dict],
@@ -437,7 +470,7 @@ def chat_complete(
     ]
 
     if cfg.endpoint.startswith("replay:"):
-        table = _load_replay(cfg.endpoint.split(":", 1)[1])
+        table = _replay_table(cfg.endpoint.split(":", 1)[1])
         user = [m for m in normalized if m["role"] == "user"]
         key = user[-1]["content"] if user else ""
         if key not in table:
@@ -563,8 +596,19 @@ class ServiceEmbedder:
 Translator = Callable[[Sequence[str], str, str], list[str]]
 
 
-def make_translator(cfg: ProviderConfig, transport: Transport | None = None) -> Translator:
-    def translate(texts: Sequence[str], src: str, tgt: str) -> list[str]:
-        return translate_batch(cfg, texts, src, tgt, transport=transport)
+@dataclass(frozen=True)
+class ServiceTranslator:
+    """:func:`translate_batch` bound to a config; callers read ``max_batch``
+    and ``max_inflight`` from ``cfg`` to size and overlap their calls."""
 
-    return translate
+    cfg: ProviderConfig
+    transport: Transport | None = None
+
+    def __call__(self, texts: Sequence[str], src: str, tgt: str) -> list[str]:
+        return translate_batch(self.cfg, texts, src, tgt, transport=self.transport)
+
+
+def make_translator(
+    cfg: ProviderConfig, transport: Transport | None = None
+) -> ServiceTranslator:
+    return ServiceTranslator(cfg, transport)

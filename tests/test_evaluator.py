@@ -1,10 +1,13 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clsd.errors import DataError
+from clsd.errors import ClsdError, DataError, ProviderError
 from clsd.evaluator import (
     EvalReport,
     InstanceResult,
@@ -319,32 +322,71 @@ class TestPivotDataset:
         bad_id = dataset[1].id
 
         def translate(texts, src, tgt):
-            # drop one candidate for the middle instance only
-            if any(bad_id in t for t in texts) and len(texts) == 5:
+            # drop one translation from any call that carries the middle target
+            if f"{bad_id} tgt" in texts:
                 return list(texts[:-1])
             return list(texts)
 
         pivoted, skipped = pivot_dataset(dataset, translate, "en")
         assert [p.id for p in pivoted] == [dataset[0].id, dataset[2].id]
-        assert len(skipped) == 1
-        assert skipped[0][0] == bad_id
-        assert "count mismatch" in skipped[0][1]
+        assert skipped == [(bad_id, "count mismatch: sent 5, got 4")]
+
+    def test_wrong_source_count_skips_only_that_instance(self):
+        dataset = self.make_direct()
+        bad_id = dataset[2].id
+
+        def translate(texts, src, tgt):
+            if f"{bad_id} src" in texts:
+                return [*texts, "extra"]
+            return list(texts)
+
+        pivoted, skipped = pivot_dataset(dataset, translate, "en")
+        assert [p.id for p in pivoted] == [dataset[0].id, dataset[1].id]
+        assert skipped == [(bad_id, "count mismatch: sent 1, got 2")]
 
     def test_empty_translation_skips_only_that_instance(self):
         dataset = self.make_direct(n=2)
         blank_id = dataset[0].id
 
         def translate(texts, src, tgt):
-            # blank one candidate of the first instance only
-            if any(blank_id in t for t in texts) and len(texts) == 5:
-                return [texts[0], "", *texts[2:]]
-            return list(texts)
+            # blank the first distractor of the first instance in any call
+            return ["" if t == f"{blank_id} d0" else t for t in texts]
 
         pivoted, skipped = pivot_dataset(dataset, translate, "en")
         assert [p.id for p in pivoted] == [dataset[1].id]
         assert len(skipped) == 1
         assert skipped[0][0] == blank_id
         assert "sentence text is empty" in skipped[0][1]
+
+    def test_programming_error_propagates(self):
+        dataset = self.make_direct()
+
+        def translate(texts, src, tgt):
+            if f"{dataset[1].id} tgt" in texts:
+                raise TypeError("translator bug")
+            return list(texts)
+
+        with pytest.raises(TypeError, match="translator bug"):
+            pivot_dataset(dataset, translate, "en")
+
+    def test_fault_free_instances_share_requests(self):
+        calls = []
+        lock = threading.Lock()
+
+        def transport(endpoint, payload):
+            with lock:
+                calls.append(len(payload["texts"]))
+            return {"translations": list(payload["texts"])}
+
+        cfg = ProviderConfig(kind="translation", endpoint="fake://mt", model_id="mt",
+                             max_batch=32)
+        dataset = self.make_direct(n=30)
+        pivoted, skipped = pivot_dataset(dataset, make_translator(cfg, transport), "en")
+        assert skipped == []
+        assert [p.id for p in pivoted] == [inst.id for inst in dataset]
+        # groups of 32 // 5 = 6 instances: one call for the sources, one for the candidates
+        assert len(calls) == 10
+        assert sorted(calls) == [6] * 5 + [30] * 5
 
     def test_pivot_language_must_be_third(self):
         dataset = self.make_direct()
@@ -368,6 +410,92 @@ class TestPivotDataset:
             assert a.sim_target == b.sim_target
             assert a.sim_distractors == b.sim_distractors
             assert a.rank_of_target == b.rank_of_target
+
+
+FAULTS = ("dead", "short", "blank")
+ROLES = ("src", "tgt", "d0", "d1", "d2", "d3")
+
+
+@st.composite
+def faulty_datasets(draw):
+    """Instances over two language pairs, and faults keyed by sentence text."""
+    n = draw(st.integers(1, 30))
+    pairs = draw(st.lists(st.sampled_from([("de", "fr"), ("it", "es")]), min_size=n, max_size=n))
+    dataset = [
+        ClsdInstance(
+            id=f"i{k}",
+            source=Sentence(text=f"i{k} src", lang=src),
+            target=Sentence(text=f"i{k} tgt", lang=tgt),
+            distractors=tuple(Sentence(text=f"i{k} d{j}", lang=tgt) for j in range(4)),
+        )
+        for k, (src, tgt) in enumerate(pairs)
+    ]
+    faults = draw(
+        st.dictionaries(
+            st.builds("i{} {}".format, st.integers(0, n - 1), st.sampled_from(ROLES)),
+            st.sampled_from(FAULTS),
+            max_size=5,
+        )
+    )
+    return dataset, faults
+
+
+def faulty_transport(faults):
+    """Translation service that fails any request carrying a faulty text:
+    refused (5xx), one translation short, or that text translated blank."""
+
+    def post(endpoint, payload):
+        texts = payload["texts"]
+        kinds = {faults.get(t) for t in texts}
+        if "dead" in kinds:
+            raise ProviderError(f"{endpoint} returned 503")
+        out = [
+            "" if faults.get(t) == "blank" else f"{payload['src']}>{payload['tgt']}:{t}"
+            for t in texts
+        ]
+        return {"translations": out[:-1] if "short" in kinds else out}
+
+    return post
+
+
+def pivot_one_by_one(dataset, translate, pivot_lang):
+    """Reference: each instance alone, one call for its source, one for its candidates."""
+    out, skipped = [], []
+    for inst in dataset:
+        candidates = [inst.target.text] + [d.text for d in inst.distractors]
+        try:
+            (source,) = translate([inst.source.text], inst.source.lang, pivot_lang)
+            translated = translate(candidates, inst.target.lang, pivot_lang)
+            out.append(
+                ClsdInstance(
+                    id=inst.id,
+                    source=Sentence(text=source, lang=pivot_lang),
+                    target=Sentence(text=translated[0], lang=pivot_lang),
+                    distractors=tuple(Sentence(text=t, lang=pivot_lang) for t in translated[1:]),
+                    pivot_lang=pivot_lang,
+                )
+            )
+        except ClsdError as exc:
+            skipped.append((inst.id, str(exc)))
+    return out, skipped
+
+
+class TestPivotGroupsMatchOneByOne:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=faulty_datasets(),
+        max_batch=st.integers(1, 40),
+        max_inflight=st.integers(1, 3),
+    )
+    def test_same_pivots_and_skips(self, case, max_batch, max_inflight):
+        dataset, faults = case
+        cfg = ProviderConfig(
+            kind="translation", endpoint="fake://mt", model_id="mt", max_batch=max_batch,
+            max_inflight=max_inflight, retry_attempts=1,
+        )
+        translator = make_translator(cfg, faulty_transport(faults))
+        expected = pivot_one_by_one(dataset, translator, "en")
+        assert pivot_dataset(dataset, translator, "en") == expected
 
 
 class TestDisagreement:

@@ -5,12 +5,14 @@ import sqlite3
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import clsd
+from clsd import providers
 from clsd.errors import DataError, ProviderError
 from clsd.providers import (
     DEFAULT_LEXICAL_DIM,
@@ -296,6 +298,27 @@ class TestEmbedBatch:
         )
         with pytest.raises(ProviderError, match="misses an index"):
             embed_batch(embedding_config(), ["a", "b"], transport=transport)
+
+    @pytest.mark.parametrize(
+        "index", [-1, "0", True, 1.0, 2], ids=["negative", "str", "bool", "float", "past-end"]
+    )
+    def test_bad_index_rejected_before_the_cache(self, tmp_path, index):
+        cfg = embedding_config()
+        cache = EmbeddingCache(tmp_path / "cache")
+        entries = [{"index": 0, "embedding": [1.0, 0.0]}, {"index": index, "embedding": [0.0, 1.0]}]
+        transport = RecordingTransport([{"data": entries}])
+        with pytest.raises(ProviderError, match="malformed embedding entry"):
+            embed_batch(cfg, ["a", "b"], cache=cache, transport=transport)
+        assert cache.get(cfg.endpoint, cfg.model_id, "a") is None
+
+    def test_duplicated_index_rejected_before_the_cache(self, tmp_path):
+        cfg = embedding_config()
+        cache = EmbeddingCache(tmp_path / "cache")
+        entries = [{"index": 1, "embedding": [1.0, 0.0]}, {"index": 1, "embedding": [0.0, 1.0]}]
+        transport = RecordingTransport([{"data": entries}])
+        with pytest.raises(ProviderError, match="misses an index"):
+            embed_batch(cfg, ["a", "b"], cache=cache, transport=transport)
+        assert cache.get(cfg.endpoint, cfg.model_id, "b") is None
 
     def test_wrong_entry_count_rejected(self):
         transport = RecordingTransport([{"data": [{"index": 0, "embedding": [1.0]}]}] * 3)
@@ -622,6 +645,92 @@ class TestChatComplete:
         with pytest.raises(ProviderError, match="no replay entry"):
             chat_complete(cfg, [("user", "etwas anderes")])
 
+    def write_replay(self, path, entries):
+        path.write_text(
+            "".join(json.dumps({"key": k, "content": v}) + "\n" for k, v in entries.items()),
+            encoding="utf-8",
+        )
+
+    def counted_parser(self, monkeypatch, delay_s=0.0):
+        parsed = []
+        real = providers._load_replay
+
+        def load(path):
+            parsed.append(path)
+            time.sleep(delay_s)
+            return real(path)
+
+        monkeypatch.setattr(providers, "_load_replay", load)
+        return parsed
+
+    def test_replay_file_parsed_once(self, tmp_path, monkeypatch):
+        parsed = self.counted_parser(monkeypatch)
+        replay = tmp_path / "replies.jsonl"
+        self.write_replay(replay, {f"q{i}": f"a{i}" for i in range(20)})
+        cfg = self.chat_config(endpoint=f"replay:{replay}")
+        replies = [chat_complete(cfg, [("user", f"q{i}")]) for i in range(20)]
+        assert replies == [f"a{i}" for i in range(20)]
+        assert parsed == [str(replay)]
+
+    def test_replay_file_read_again_after_a_rewrite(self, tmp_path, monkeypatch):
+        parsed = self.counted_parser(monkeypatch)
+        replay = tmp_path / "replies.jsonl"
+        self.write_replay(replay, {"q": "old"})
+        cfg = self.chat_config(endpoint=f"replay:{replay}")
+        assert chat_complete(cfg, [("user", "q")]) == "old"
+        self.write_replay(replay, {"q": "a longer reply"})
+        assert chat_complete(cfg, [("user", "q")]) == "a longer reply"
+        assert len(parsed) == 2
+
+    def test_second_replay_file_drops_the_first_table(self, tmp_path):
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        self.write_replay(first, {"q": "one"})
+        self.write_replay(second, {"q": "two"})
+        assert chat_complete(self.chat_config(endpoint=f"replay:{first}"), [("user", "q")]) == "one"
+        assert chat_complete(self.chat_config(endpoint=f"replay:{second}"), [("user", "q")]) == "two"
+        key, table = providers._replay_slot
+        assert key[0] == str(second)
+        assert table == {"q": "two"}
+
+    def test_threads_parse_a_new_replay_file_once(self, tmp_path, monkeypatch):
+        # a slow parse: every thread arrives while the first one parses
+        parsed = self.counted_parser(monkeypatch, delay_s=0.05)
+        replay = tmp_path / "replies.jsonl"
+        self.write_replay(replay, {"q": "a"})
+        cfg = self.chat_config(endpoint=f"replay:{replay}")
+        errors = []
+
+        def work():
+            try:
+                for _ in range(20):
+                    assert chat_complete(cfg, [("user", "q")]) == "a"
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert parsed == [str(replay)]
+
+    def test_malformed_replay_line_fails_every_call(self, tmp_path, monkeypatch):
+        parsed = self.counted_parser(monkeypatch)
+        replay = tmp_path / "replies.jsonl"
+        replay.write_text(json.dumps({"key": "q", "content": "a"}) + "\n{not json\n")
+        cfg = self.chat_config(endpoint=f"replay:{replay}")
+        for _ in range(3):
+            with pytest.raises(_PermanentProviderError, match=f"{replay}:2: replay line"):
+                chat_complete(cfg, [("user", "q")])
+        assert len(parsed) == 3
+
     def test_payload_carries_sampling_params(self):
         transport = RecordingTransport(
             [{"choices": [{"message": {"content": "Antwort"}}]}]
@@ -710,6 +819,7 @@ class TestTranslateBatch:
         cfg = self.translation_config(endpoint="identity:")
         translate = make_translator(cfg)
         assert translate(["bon"], "fr", "en") == ["bon"]
+        assert translate.cfg == cfg
 
     def test_kind_checked(self):
         with pytest.raises(DataError):
