@@ -16,7 +16,6 @@ Three tools built on the same embedding layer:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,10 +26,10 @@ import numpy as np
 from .errors import DataError
 from .evaluator import EvalReport, _similarity
 from .providers import Embedder
-from .records import ClsdInstance, DiffAnnotation, Sentence, _write_atomic_text
+from .records import ClsdInstance, DiffAnnotation, Sentence, _read_json, _write_json
 from .textmetrics import (
     DEFAULT_BIN_EDGES,
-    bin_index,
+    bin_by_similarity,
     levenshtein_similarity,
     single_token_diff,
     validate_edges,
@@ -118,15 +117,12 @@ def save_normalization(norm: NormalizationFactor, path: str | Path) -> None:
         "n_unrelated": norm.n_unrelated,
         "seed": norm.seed,
     }
-    _write_atomic_text(
-        Path(path), json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-    )
+    _write_json(path, payload)
 
 
 def load_normalization(path: str | Path) -> NormalizationFactor:
+    payload = _read_json(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
         return NormalizationFactor(
             value=float(payload["value"]),
             model_id=payload["model_id"],
@@ -135,7 +131,7 @@ def load_normalization(path: str | Path) -> NormalizationFactor:
             n_unrelated=int(payload["n_unrelated"]),
             seed=int(payload["seed"]),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed normalization file: {exc}") from exc
 
 
@@ -377,34 +373,24 @@ def success_distribution(
     if report_ids != set(by_id):
         raise DataError("report and dataset cover different instance ids")
 
-    totals = [0] * len(checked)
-    successes = [0] * len(checked)
-    underflow_total = 0
-    underflow_success = 0
-    n_successful = 0
+    similarities: list[float] = []
+    successful: list[float] = []
     for result in report.results:
         inst = by_id[result.instance_id]
-        for i, distractor in enumerate(inst.distractors):
-            idx = bin_index(
-                levenshtein_similarity(distractor.text, inst.target.text), checked
-            )
-            succeeded = (
-                not result.success and result.sim_distractors[i] >= result.sim_target
-            )
-            if idx is None:
-                underflow_total += 1
-                underflow_success += succeeded
-            else:
-                totals[idx] += 1
-                successes[idx] += succeeded
-            n_successful += succeeded
+        for distractor, sim in zip(inst.distractors, result.sim_distractors):
+            value = levenshtein_similarity(distractor.text, inst.target.text)
+            similarities.append(value)
+            if not result.success and sim >= result.sim_target:
+                successful.append(value)
+    totals = bin_by_similarity(similarities, checked)
+    successes = bin_by_similarity(successful, checked)
     return SuccessDistributionTable(
         edges=checked,
-        d_bin_totals=tuple(totals),
-        success_counts=tuple(successes),
-        underflow_total=underflow_total,
-        underflow_success=underflow_success,
-        n_successful=n_successful,
+        d_bin_totals=totals.counts,
+        success_counts=successes.counts,
+        underflow_total=totals.underflow,
+        underflow_success=successes.underflow,
+        n_successful=len(successful),
     )
 
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -126,11 +125,7 @@ def _provider_config(kind: str, values: dict, ctx: str) -> prov.ProviderConfig:
 
 
 def load_run_config(path: str | Path) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    raw = rec._read_json(path)
     if not isinstance(raw, dict):
         raise DataError(f"{path}: config must be a JSON object")
     unknown = set(raw) - set(_SECTIONS)
@@ -219,7 +214,7 @@ def _write_manifest(
 ) -> None:
     inputs = {name: getattr(args, name) for name in _INPUT_FLAGS if hasattr(args, name)}
     inputs.update((f"report_{i}", p) for i, p in enumerate(getattr(args, "inputs", ())))
-    payload = {
+    payload = {  # keys in alphabetical order
         "command": args.command,
         "config_sha256": _sha256_file(config_path) if config_path else None,
         "inputs": {name: _sha256_file(p) for name, p in sorted(inputs.items())},
@@ -228,10 +223,7 @@ def _write_manifest(
         "tool": "clsd",
         "version": __version__,
     }
-    rec._write_atomic_text(
-        Path(args.out + ".manifest.json"),
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-    )
+    rec._write_json(args.out + ".manifest.json", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +260,7 @@ def _cmd_validate(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _cmd_stats(args: argparse.Namespace, config: RunConfig) -> tuple[str, None]:
     stats = gen.dataset_stats(rec.load_clsd_dataset(args.dataset))
-    rec._write_atomic_text(
-        Path(args.out), json.dumps(stats.to_json(), ensure_ascii=False, indent=2) + "\n"
-    )
+    rec._write_json(args.out, stats.to_json())
     summary = (
         f"n={stats.n_instances} jaccard_mean={stats.jaccard_mean:.4f} "
         f"jaccard_std={stats.jaccard_std:.4f}"
@@ -302,15 +292,7 @@ def _cmd_compare(args: argparse.Namespace, config: RunConfig) -> tuple[str, None
     report_a = ev.load_eval_report(args.report_a)
     report_b = ev.load_eval_report(args.report_b)
     only_a, only_b = ev.disagreement(report_a, report_b)
-    rec._write_atomic_text(
-        Path(args.out),
-        json.dumps(
-            {"success_only_a": only_a, "success_only_b": only_b},
-            ensure_ascii=False,
-            indent=2,
-        )
-        + "\n",
-    )
+    rec._write_json(args.out, {"success_only_a": only_a, "success_only_b": only_b})
     return f"only_a={len(only_a)} only_b={len(only_b)}", None
 
 

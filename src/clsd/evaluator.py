@@ -12,8 +12,6 @@ original instance id so direct and pivot reports join trivially.
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
@@ -22,8 +20,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ClsdError, DataError
-from .providers import KIND_TRANSLATION, Embedder, ProviderConfig, Translator
-from .records import ClsdInstance, Sentence, _write_atomic_text
+from .providers import Embedder, ServiceTranslator, _ordered_map
+from .records import ClsdInstance, Sentence, _read_json, _write_json
 
 MODE_DIRECT = "direct"
 MODE_PIVOT = "pivot"
@@ -183,17 +181,11 @@ def save_eval_report(report: EvalReport, path: str | Path) -> None:
             for r in report.results
         ],
     }
-    _write_atomic_text(
-        Path(path), json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-    )
+    _write_json(path, payload)
 
 
 def load_eval_report(path: str | Path) -> EvalReport:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    payload = _read_json(path)
     try:
         results = tuple(
             InstanceResult(
@@ -218,28 +210,15 @@ def load_eval_report(path: str | Path) -> EvalReport:
         raise DataError(f"{path}: malformed eval report: {exc}") from exc
 
 
-# A plain callable carries no config: it runs as a translation service with
-# the default batch and one call in flight.
-_PLAIN_TRANSLATOR = ProviderConfig(
-    kind=KIND_TRANSLATION, endpoint="", model_id="", max_inflight=1
-)
-
-
 def _pivot_group(
-    group: Sequence[ClsdInstance], translator: Translator, pivot_lang: str
+    group: Sequence[ClsdInstance], translator: ServiceTranslator, pivot_lang: str
 ) -> list[ClsdInstance]:
     """Pivot instances that share one language pair: one translator call for
     their sources, one for their candidates (target, then distractors)."""
     sources = [inst.source.text for inst in group]
     candidates = [t for inst in group for t in _candidate_texts(inst)[1:]]
     translated_sources = translator(sources, group[0].source.lang, pivot_lang)
-    if len(translated_sources) != len(sources):
-        raise DataError(
-            f"count mismatch: sent {len(sources)}, got {len(translated_sources)}"
-        )
     translated = translator(candidates, group[0].target.lang, pivot_lang)
-    if len(translated) != len(candidates):
-        raise DataError(f"count mismatch: sent {len(candidates)}, got {len(translated)}")
     out = []
     for i, inst in enumerate(group):
         texts = [translated_sources[i], *translated[5 * i : 5 * i + 5]]
@@ -258,7 +237,7 @@ def _pivot_group(
 
 def pivot_dataset(
     dataset: Sequence[ClsdInstance],
-    translator: Translator,
+    translator: ServiceTranslator,
     pivot_lang: str,
 ) -> tuple[list[ClsdInstance], list[tuple[str, str]]]:
     """Translate all six sentences of each instance into ``pivot_lang``.
@@ -267,14 +246,13 @@ def pivot_dataset(
     groups of at most ``max(1, max_batch // 5)``: one call for the group's
     sources and one for its five candidates each, so the candidates fit one
     request. Up to ``max_inflight`` groups are in flight at once. Both
-    settings come from the translator's ``cfg`` (see
-    :func:`~clsd.providers.make_translator`); a plain callable runs one group
-    at a time. When a group fails with a :class:`ClsdError` (a provider
-    failure, a wrong count or an invalid instance), its instances are
-    translated again one by one, so each failure is attributable: the
-    instance is skipped with its own reason, never half-built. Any other
-    exception propagates. Output keeps dataset order. Pivot instances keep
-    the original id and carry no meta.
+    settings come from ``translator.cfg`` (see
+    :func:`~clsd.providers.make_translator`). When a group fails with a
+    :class:`ClsdError` (a provider failure, such as a wrong count, or an
+    invalid instance), its instances are translated again one by one, so
+    each failure is attributable: the instance is skipped with its own
+    reason, never half-built. Any other exception propagates. Output keeps
+    dataset order. Pivot instances keep the original id and carry no meta.
     Returns (pivot instances, [(instance_id, reason), ...] for skips).
     """
     if not dataset:
@@ -285,8 +263,7 @@ def pivot_dataset(
         raise DataError(
             f"pivot language {pivot_lang!r} must differ from both dataset languages"
         )
-    cfg = getattr(translator, "cfg", _PLAIN_TRANSLATOR)
-    size = max(1, cfg.max_batch // 5)
+    size = max(1, translator.cfg.max_batch // 5)
     groups: list[list[ClsdInstance]] = []
     for _, run in groupby(dataset, key=lambda inst: (inst.source.lang, inst.target.lang)):
         run = list(run)
@@ -307,11 +284,7 @@ def pivot_dataset(
                 outcomes.append(str(exc))
         return outcomes
 
-    if len(groups) == 1 or cfg.max_inflight == 1:
-        results = [attempt(g) for g in groups]
-    else:
-        with ThreadPoolExecutor(max_workers=min(cfg.max_inflight, len(groups))) as pool:
-            results = list(pool.map(attempt, groups))
+    results = _ordered_map(attempt, groups, translator.cfg.max_inflight)
     out: list[ClsdInstance] = []
     skipped: list[tuple[str, str]] = []
     for group, outcomes in zip(groups, results):

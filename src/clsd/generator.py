@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import DataError, ProviderError
 from .providers import ChatParams, ProviderConfig, Transport, chat_complete
-from .providers import _PermanentProviderError
+from .providers import _ordered_map, _PermanentProviderError
 from .records import ClsdInstance, ParallelPair, Sentence
 from .textmetrics import (
     SCHEME_SET,
@@ -212,14 +211,7 @@ def generate_dataset(
         )
         return instance, entry
 
-    if not corpus:
-        return [], []
-    if cfg.chat.max_inflight == 1 or len(corpus) == 1:
-        outcomes = [run_one(p) for p in corpus]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.chat.max_inflight) as pool:
-            outcomes = list(pool.map(run_one, corpus))
-
+    outcomes = _ordered_map(run_one, corpus, cfg.chat.max_inflight)
     instances = [inst for inst, _ in outcomes if inst is not None]
     log = [entry for _, entry in outcomes]
     return instances, log

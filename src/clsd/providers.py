@@ -46,7 +46,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -57,6 +57,9 @@ KIND_CHAT = "chat"
 KIND_TRANSLATION = "translation"
 
 _REQUEST_TIMEOUT_S = 60.0
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
 
 @dataclass(frozen=True)
@@ -182,6 +185,21 @@ def _with_retries(cfg: ProviderConfig, call: Callable[[], dict]) -> dict:
     raise ProviderError(
         f"giving up after {cfg.retry_attempts} attempts: {last}"
     ) from last
+
+
+def _ordered_map(
+    fn: Callable[[_T], _R], items: Sequence[_T], max_inflight: int
+) -> list[_R]:
+    """``[fn(item) for item in items]`` with up to ``max_inflight`` calls in flight.
+
+    The one thread fan-out of the package. Results keep input order. The
+    first exception in input order propagates once the calls already
+    running have ended; calls not yet started are dropped.
+    """
+    if len(items) <= 1 or max_inflight == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=min(max_inflight, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +355,7 @@ def embed_batch(
                 raise ProviderError("embedding response misses an index")
             return ordered  # type: ignore[return-value]
 
-        if len(chunks) == 1 or cfg.max_inflight == 1:
-            results = [fetch(c) for c in chunks]
-        else:
-            with ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
-                results = list(pool.map(fetch, chunks))
+        results = _ordered_map(fetch, chunks, cfg.max_inflight)
         for chunk, vectors in zip(chunks, results):
             by_text.update(zip(chunk, vectors))
 
@@ -591,9 +605,6 @@ class ServiceEmbedder:
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         return embed_batch(self.cfg, texts, cache=self.cache, transport=self.transport)
-
-
-Translator = Callable[[Sequence[str], str, str], list[str]]
 
 
 @dataclass(frozen=True)

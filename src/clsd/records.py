@@ -1,4 +1,4 @@
-"""Record types and line-delimited dataset IO.
+"""Record types, line-delimited dataset IO and the JSON file plumbing.
 
 All datasets are JSONL: one UTF-8 encoded JSON object per line, ``\\n``
 terminated, keys in a fixed order so that equal values serialize to
@@ -29,6 +29,10 @@ Token-swap annotations::
      "target_token": "...", "distractor_token": "...", "pos": "NOUN"}
 
 Loaded records are immutable values and safe to share across threads.
+
+The one-document JSON files (config, eval report, normalization, stats,
+manifest) are read and written here too. Every reader refuses input that is
+not UTF-8 or holds a lone UTF-16 surrogate escape, naming the file.
 """
 
 from __future__ import annotations
@@ -40,11 +44,13 @@ import threading
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import DataError
 
 _LANG_RE = re.compile(r"[a-z]{2}")
+
+_T = TypeVar("_T")
 
 DISTRACTORS_PER_INSTANCE = 4
 
@@ -166,7 +172,17 @@ class ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# JSONL plumbing
+# File plumbing: JSONL records and JSON documents
+
+def _refuse_lone_surrogates(obj: object, text: str, where: str) -> None:
+    # strict UTF-8 decoding refuses encoded surrogates, so a lone one can
+    # only come from a \u escape, and no output could encode it
+    if "\\u" in text:
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataError(f"{where}: lone UTF-16 surrogate escape in a string") from exc
+
 
 def _read_lines(path: Path) -> Iterator[tuple[int, dict]]:
     try:
@@ -180,15 +196,7 @@ def _read_lines(path: Path) -> Iterator[tuple[int, dict]]:
                     raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
                 if not isinstance(obj, dict):
                     raise DataError(f"{path}:{lineno}: record is not a JSON object")
-                # strict UTF-8 decoding refuses encoded surrogates, so a lone one
-                # can only come from a \u escape, and no output could encode it
-                if "\\u" in line:
-                    try:
-                        json.dumps(obj, ensure_ascii=False).encode("utf-8")
-                    except UnicodeEncodeError as exc:
-                        raise DataError(
-                            f"{path}:{lineno}: lone UTF-16 surrogate escape in a string"
-                        ) from exc
+                _refuse_lone_surrogates(obj, line, f"{path}:{lineno}")
                 yield lineno, obj
     except UnicodeDecodeError:
         # the text layer decodes ahead in chunks, so find the line again
@@ -202,6 +210,33 @@ def _read_lines(path: Path) -> Iterator[tuple[int, dict]]:
                         f"at byte offset {exc.start} of the line"
                     ) from exc
         raise
+
+
+def _load_jsonl(path: str | Path, build: Callable[[dict, str], _T]) -> list[_T]:
+    """``build(obj, ctx)`` for each record in file order; ``ctx`` is ``path:line``,
+    and a :class:`DataError` from ``build`` is raised with that prefix once."""
+    path = Path(path)
+    out: list[_T] = []
+    for lineno, obj in _read_lines(path):
+        ctx = f"{path}:{lineno}"
+        try:
+            out.append(build(obj, ctx))
+        except DataError as exc:
+            msg = str(exc)
+            raise DataError(msg if msg.startswith(f"{ctx}: ") else f"{ctx}: {msg}") from exc
+    return out
+
+
+def _read_json(path: str | Path):
+    """The JSON document in ``path``. A file that is not UTF-8 or not JSON, or
+    that holds a lone surrogate escape, raises :class:`DataError` naming it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        obj = json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    _refuse_lone_surrogates(obj, text, str(path))
+    return obj
 
 
 def _get(obj: dict, key: str, ctx: str):
@@ -236,29 +271,30 @@ def _write_jsonl(path: Path, objs: Sequence[dict]) -> None:
     _write_atomic_text(path, "".join(lines))
 
 
+def _write_json(path: str | Path, payload: object) -> None:
+    """Write one JSON document, indented by 2, keys in payload order."""
+    _write_atomic_text(Path(path), json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # Parallel corpora
 
 def load_parallel_corpus(path: str | Path) -> list[ParallelPair]:
     """Load a parallel corpus, enforcing id uniqueness within the file."""
-    path = Path(path)
-    pairs: list[ParallelPair] = []
     seen: set[str] = set()
-    for lineno, obj in _read_lines(path):
-        ctx = f"{path}:{lineno}"
-        try:
-            pair = ParallelPair(
-                id=_str(obj, "id", ctx),
-                source=Sentence(_str(obj, "source", ctx), _str(obj, "src_lang", ctx)),
-                target=Sentence(_str(obj, "target", ctx), _str(obj, "tgt_lang", ctx)),
-            )
-        except DataError as exc:
-            raise DataError(f"{ctx}: {exc}") from exc
+
+    def build(obj: dict, ctx: str) -> ParallelPair:
+        pair = ParallelPair(
+            id=_str(obj, "id", ctx),
+            source=Sentence(_str(obj, "source", ctx), _str(obj, "src_lang", ctx)),
+            target=Sentence(_str(obj, "target", ctx), _str(obj, "tgt_lang", ctx)),
+        )
         if pair.id in seen:
-            raise DataError(f"{ctx}: duplicate id {pair.id!r}")
+            raise DataError(f"duplicate id {pair.id!r}")
         seen.add(pair.id)
-        pairs.append(pair)
-    return pairs
+        return pair
+
+    return _load_jsonl(path, build)
 
 
 def save_parallel_corpus(pairs: Sequence[ParallelPair], path: str | Path) -> None:
@@ -326,16 +362,7 @@ def load_clsd_dataset(path: str | Path) -> list[ClsdInstance]:
     invariant violations; a loaded dataset always satisfies every instance
     invariant.
     """
-    path = Path(path)
-    instances: list[ClsdInstance] = []
-    for lineno, obj in _read_lines(path):
-        ctx = f"{path}:{lineno}"
-        try:
-            instances.append(_instance_from_obj(obj, ctx))
-        except DataError as exc:
-            msg = str(exc)
-            raise DataError(msg if msg.startswith(ctx) else f"{ctx}: {msg}") from exc
-    return instances
+    return _load_jsonl(path, _instance_from_obj)
 
 
 def _instance_to_obj(instance: ClsdInstance) -> dict:
@@ -368,33 +395,26 @@ save_pivot_dataset = save_clsd_dataset
 # ---------------------------------------------------------------------------
 # Annotations
 
+def _annotation_from_obj(obj: dict, ctx: str) -> DiffAnnotation:
+    index = _get(obj, "distractor_index", ctx)
+    position = _get(obj, "position", ctx)
+    if not isinstance(index, int) or isinstance(index, bool):
+        raise DataError("distractor_index is not an integer")
+    if not isinstance(position, int) or isinstance(position, bool):
+        raise DataError("position is not an integer")
+    return DiffAnnotation(
+        instance_id=_str(obj, "instance_id", ctx),
+        distractor_index=index,
+        position=position,
+        target_token=_str(obj, "target_token", ctx),
+        distractor_token=_str(obj, "distractor_token", ctx),
+        pos=_str(obj, "pos", ctx),
+    )
+
+
 def load_annotations(path: str | Path) -> list[DiffAnnotation]:
     """Load token-swap annotations in file order. Ids are not resolved here."""
-    path = Path(path)
-    annotations: list[DiffAnnotation] = []
-    for lineno, obj in _read_lines(path):
-        ctx = f"{path}:{lineno}"
-        try:
-            index = _get(obj, "distractor_index", ctx)
-            position = _get(obj, "position", ctx)
-            if not isinstance(index, int) or isinstance(index, bool):
-                raise DataError("distractor_index is not an integer")
-            if not isinstance(position, int) or isinstance(position, bool):
-                raise DataError("position is not an integer")
-            annotations.append(
-                DiffAnnotation(
-                    instance_id=_str(obj, "instance_id", ctx),
-                    distractor_index=index,
-                    position=position,
-                    target_token=_str(obj, "target_token", ctx),
-                    distractor_token=_str(obj, "distractor_token", ctx),
-                    pos=_str(obj, "pos", ctx),
-                )
-            )
-        except DataError as exc:
-            msg = str(exc)
-            raise DataError(msg if msg.startswith(ctx) else f"{ctx}: {msg}") from exc
-    return annotations
+    return _load_jsonl(path, _annotation_from_obj)
 
 
 def save_annotations(annotations: Sequence[DiffAnnotation], path: str | Path) -> None:

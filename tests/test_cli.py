@@ -314,16 +314,43 @@ class TestEval:
         assert report.backend_id == "lexical"
         assert set(read_manifest(out)["inputs"]) == {"dataset"}
 
-    @pytest.mark.parametrize("field", ["source", "id"])
+    @pytest.mark.parametrize("field", ["source", "id", "report", "config", "norm"])
     def test_lone_surrogate_exit_1(self, tmp_path, dataset_path, field, capsys):
-        obj = json.loads(dataset_path.read_text(encoding="utf-8").splitlines()[0])
-        obj[field] = "Hallo \ud800 Welt"
-        path = tmp_path / "lone.jsonl"
-        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
-        for argv in (["validate"], ["eval", "--backend", "lexical", "--out", str(tmp_path / "r.json")]):
-            assert run([*argv, "--dataset", str(path)]) == 1
+        # a \ud800 escape in a dataset line, or in a JSON document a command reads
+        lone = "Hallo \ud800 Welt"
+        ds, out = str(dataset_path), str(tmp_path / "out")
+        if field in ("source", "id"):
+            obj = json.loads(dataset_path.read_text(encoding="utf-8").splitlines()[0])
+            path = tmp_path / "lone.jsonl"
+            path.write_text(json.dumps({**obj, field: lone}) + "\n", encoding="utf-8")
+            where = f"{path}:1"
+            argvs = [
+                ["validate", "--dataset", str(path)],
+                ["eval", "--dataset", str(path), "--backend", "lexical", "--out", out],
+            ]
+        else:
+            path = tmp_path / f"{field}.json"
+            if field == "report":
+                assert run(["eval", "--dataset", ds, "--backend", "lexical",
+                            "--out", str(path)]) == 0
+                doc = {**json.loads(path.read_text(encoding="utf-8")), "dataset_id": lone}
+                argvs = [["report", "--inputs", str(path), "--out", out]]
+            elif field == "config":
+                doc = {"embedding": {"endpoint": "lexical", "model_id": lone}}
+                argvs = [["eval", "--dataset", ds, "--config", str(path), "--out", out]]
+            else:
+                assert run(["norm", "--corpus", str(CORPUS_PATH), "--backend", "lexical",
+                            "--seed", "17", "--out", str(path)]) == 0
+                doc = {**json.loads(path.read_text(encoding="utf-8")), "model_id": lone}
+                argvs = [["shift", "--dataset", ds, "--annotations", str(ANNOTATIONS_PATH),
+                          "--norm", str(path), "--backend", "lexical", "--out", out]]
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            where = str(path)
+        capsys.readouterr()
+        for argv in argvs:
+            assert run(argv) == 1
             err = capsys.readouterr().err
-            assert err.startswith(f"error: {path}:1: lone UTF-16 surrogate")
+            assert err.startswith(f"error: {where}: lone UTF-16 surrogate escape in a string")
             assert "Traceback" not in err
 
     def test_non_utf8_dataset_exit_1(self, tmp_path, dataset_path, capsys):

@@ -32,6 +32,14 @@ identity_translator = make_translator(
 )
 
 
+def fake_translator(translate):
+    """``make_translator`` over a fake service that answers ``translate(texts)``."""
+    cfg = ProviderConfig(kind="translation", endpoint="fake://mt", model_id="mt")
+    return make_translator(
+        cfg, lambda endpoint, payload: {"translations": translate(list(payload["texts"]))}
+    )
+
+
 class DictEmbedder:
     """Test double: fixed text -> vector table, records every batch."""
 
@@ -321,38 +329,38 @@ class TestPivotDataset:
         dataset = self.make_direct()
         bad_id = dataset[1].id
 
-        def translate(texts, src, tgt):
-            # drop one translation from any call that carries the middle target
+        def translate(texts):
+            # drop one translation from any request that carries the middle target
             if f"{bad_id} tgt" in texts:
-                return list(texts[:-1])
-            return list(texts)
+                return texts[:-1]
+            return texts
 
-        pivoted, skipped = pivot_dataset(dataset, translate, "en")
+        pivoted, skipped = pivot_dataset(dataset, fake_translator(translate), "en")
         assert [p.id for p in pivoted] == [dataset[0].id, dataset[2].id]
-        assert skipped == [(bad_id, "count mismatch: sent 5, got 4")]
+        assert skipped == [(bad_id, "count mismatch: sent 5 texts, got 4 translations")]
 
     def test_wrong_source_count_skips_only_that_instance(self):
         dataset = self.make_direct()
         bad_id = dataset[2].id
 
-        def translate(texts, src, tgt):
+        def translate(texts):
             if f"{bad_id} src" in texts:
                 return [*texts, "extra"]
-            return list(texts)
+            return texts
 
-        pivoted, skipped = pivot_dataset(dataset, translate, "en")
+        pivoted, skipped = pivot_dataset(dataset, fake_translator(translate), "en")
         assert [p.id for p in pivoted] == [dataset[0].id, dataset[1].id]
-        assert skipped == [(bad_id, "count mismatch: sent 1, got 2")]
+        assert skipped == [(bad_id, "count mismatch: sent 1 texts, got 2 translations")]
 
     def test_empty_translation_skips_only_that_instance(self):
         dataset = self.make_direct(n=2)
         blank_id = dataset[0].id
 
-        def translate(texts, src, tgt):
-            # blank the first distractor of the first instance in any call
+        def translate(texts):
+            # blank the first distractor of the first instance in any request
             return ["" if t == f"{blank_id} d0" else t for t in texts]
 
-        pivoted, skipped = pivot_dataset(dataset, translate, "en")
+        pivoted, skipped = pivot_dataset(dataset, fake_translator(translate), "en")
         assert [p.id for p in pivoted] == [dataset[1].id]
         assert len(skipped) == 1
         assert skipped[0][0] == blank_id
@@ -361,13 +369,13 @@ class TestPivotDataset:
     def test_programming_error_propagates(self):
         dataset = self.make_direct()
 
-        def translate(texts, src, tgt):
+        def translate(texts):
             if f"{dataset[1].id} tgt" in texts:
                 raise TypeError("translator bug")
-            return list(texts)
+            return texts
 
         with pytest.raises(TypeError, match="translator bug"):
-            pivot_dataset(dataset, translate, "en")
+            pivot_dataset(dataset, fake_translator(translate), "en")
 
     def test_fault_free_instances_share_requests(self):
         calls = []

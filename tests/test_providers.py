@@ -14,6 +14,8 @@ import pytest
 import clsd
 from clsd import providers
 from clsd.errors import DataError, ProviderError
+from clsd.evaluator import pivot_dataset
+from clsd.generator import GenerationConfig, generate_dataset
 from clsd.providers import (
     DEFAULT_LEXICAL_DIM,
     ChatParams,
@@ -31,6 +33,7 @@ from clsd.providers import (
     make_translator,
     translate_batch,
 )
+from clsd.records import ClsdInstance, ParallelPair, Sentence
 
 from conftest import FROZEN_LEXICAL_COSINE_ABCD_ABCE
 
@@ -849,3 +852,114 @@ class TestServiceEmbedder:
         assert emb.backend_id == cfg.endpoint
         assert emb.model_id == "emb-1"
         assert len(emb.embed(["x", "y"])) == 2
+
+
+class PeakTransport:
+    """Fake service that records the peak number of requests in flight.
+
+    Each request is held open until ``target`` requests are in flight, or
+    for at most 2 s, so that a fan-out allowed to overlap them does.
+    """
+
+    def __init__(self, respond, target):
+        self.respond = respond
+        self.target = target
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+        self._full = threading.Event()
+
+    def __call__(self, endpoint, payload):
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            if self.in_flight >= self.target:
+                self._full.set()
+        try:
+            self._full.wait(timeout=2.0)
+            time.sleep(0.002)  # a wider fan-out would overlap this one
+            return self.respond(payload)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def _fan_out_embed(max_inflight):
+    def respond(payload):
+        return {"data": [{"index": i, "embedding": [float(t[1:]), 1.0]}
+                         for i, t in enumerate(payload["input"])]}
+
+    def call(transport):
+        cfg = embedding_config(max_batch=2, max_inflight=max_inflight)
+        matrix = embed_batch(cfg, [f"t{i}" for i in range(12)], transport=transport)
+        return [row[0] for row in matrix], [float(i) for i in range(12)]
+
+    return respond, call
+
+
+def _fan_out_pivot(max_inflight):
+    def respond(payload):
+        return {"translations": [f"en:{t}" for t in payload["texts"]]}
+
+    def call(transport):
+        # max_batch 5 puts each instance in a group of its own
+        cfg = ProviderConfig(kind="translation", endpoint="fake://mt", model_id="mt",
+                             max_batch=5, max_inflight=max_inflight)
+        dataset = [
+            ClsdInstance(
+                id=f"i{k}",
+                source=Sentence(f"i{k} src", "de"),
+                target=Sentence(f"i{k} tgt", "fr"),
+                distractors=tuple(Sentence(f"i{k} d{j}", "fr") for j in range(4)),
+            )
+            for k in range(8)
+        ]
+        pivots, skipped = pivot_dataset(dataset, make_translator(cfg, transport), "en")
+        assert skipped == []
+        return [p.source.text for p in pivots], [f"en:i{k} src" for k in range(8)]
+
+    return respond, call
+
+
+def _fan_out_generate(max_inflight):
+    def respond(payload):
+        target = payload["messages"][-1]["content"].rsplit("\n", 1)[1]
+        content = "\n".join(f"{n}. {target} {n}" for n in range(1, 5))
+        return {"choices": [{"message": {"content": content}}]}
+
+    def call(transport):
+        chat = ProviderConfig(kind="chat", endpoint="https://svc.test/v1/chat",
+                              model_id="chat-1", max_inflight=max_inflight)
+        corpus = [
+            ParallelPair(f"g{k}", Sentence(f"Satz {k}.", "de"), Sentence(f"Phrase {k}.", "fr"))
+            for k in range(8)
+        ]
+        instances, _ = generate_dataset(corpus, GenerationConfig(chat=chat), transport=transport)
+        return [i.distractors[0].text for i in instances], [f"Phrase {k}. 1" for k in range(8)]
+
+    return respond, call
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("max_inflight", [1, 3])
+    @pytest.mark.parametrize(
+        "case", [_fan_out_embed, _fan_out_pivot, _fan_out_generate],
+        ids=["embed_batch", "pivot_dataset", "generate_dataset"],
+    )
+    def test_bounded_and_ordered(self, case, max_inflight):
+        respond, call = case(max_inflight)
+        transport = PeakTransport(respond, target=max_inflight)
+        got, expected = call(transport)
+        assert got == expected
+        assert transport.peak == max_inflight
+
+
+def test_one_thread_pool_and_one_json_reader():
+    """Only the provider layer fans out threads, and only records parses JSON files."""
+    src = Path(clsd.__file__).parent
+    for module in sorted(src.glob("*.py")):
+        if module.name in ("providers.py", "records.py"):
+            continue
+        text = module.read_text(encoding="utf-8")
+        for needle in ("ThreadPoolExecutor", "json.load("):
+            assert needle not in text, f"{module.name} uses {needle}"

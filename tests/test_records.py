@@ -435,6 +435,50 @@ class TestAnnotationIO:
             load_annotations(path)
 
 
+# Each JSONL file kind: its loader, a saver of one valid record, and the key
+# that a defective second line lacks or leaves blank.
+JSONL_KINDS = {
+    "corpus": (
+        load_parallel_corpus,
+        lambda path: save_parallel_corpus(
+            [ParallelPair("p1", Sentence("Hallo.", "de"), Sentence("Salut.", "fr"))], path
+        ),
+        "target",
+    ),
+    "dataset": (
+        load_clsd_dataset, lambda path: save_clsd_dataset([make_instance()], path), "target"
+    ),
+    "annotations": (
+        load_annotations,
+        lambda path: save_annotations([DiffAnnotation("x1", 0, 1, "chat", "chien", "NOUN")], path),
+        "pos",
+    ),
+}
+
+
+class TestJsonlErrors:
+    @pytest.mark.parametrize("defect", ["missing", "blank"])
+    @pytest.mark.parametrize("kind", sorted(JSONL_KINDS))
+    def test_line_prefix_appears_once(self, tmp_path, kind, defect):
+        load, save, key = JSONL_KINDS[kind]
+        path = tmp_path / f"{kind}.jsonl"
+        save(path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        if "id" in obj:
+            obj["id"] = "x2"  # line 2 is no duplicate of line 1
+        if defect == "missing":
+            del obj[key]
+        else:
+            obj[key] = ""
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(obj) + "\n")
+        with pytest.raises(DataError) as err:
+            load(path)
+        message = str(err.value)
+        assert message.startswith(f"{path}:2: ")
+        assert message.count(str(path)) == 1
+
+
 class TestValidateDataset:
     def test_valid_fixture_clean(self, fixture_instances):
         report = validate_dataset(fixture_instances[:5])
