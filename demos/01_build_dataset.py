@@ -90,7 +90,7 @@ with replay_path.open("w", encoding="utf-8") as fh:
 chat = ProviderConfig(kind="chat", endpoint=f"replay:{replay_path}", model_id="scripted-chat")
 cfg = GenerationConfig(chat=chat)
 
-instances, log = generate_dataset(corpus, cfg, seed=0)
+instances, log = generate_dataset(corpus, cfg)
 print(f"generated {len(instances)} instances ({len(log)} log entries)")
 for entry in log:
     print(f"  {entry.pair_id}: {entry.outcome} after {entry.attempts} attempt(s)")

@@ -18,9 +18,5 @@ analysis     normalization factor, similarity shifts, success distributions
 cli          the ``clsd`` command-line pipeline
 """
 
-try:
-    from importlib import metadata as _metadata
-
-    __version__ = _metadata.version("clsd")
-except Exception:  # not installed; running from a checkout
-    __version__ = "0.0.0-dev"
+# the one place the version is written; pyproject.toml reads it from here
+__version__ = "0.1.0"

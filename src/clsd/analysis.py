@@ -17,7 +17,7 @@ Three tools built on the same embedding layer:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -27,6 +27,7 @@ from .errors import DataError
 from .evaluator import EvalReport, _similarity
 from .providers import Embedder
 from .records import ClsdInstance, DiffAnnotation, Sentence, _read_json, _write_json
+from .records import _get, _int, _real, _str
 from .textmetrics import (
     DEFAULT_BIN_EDGES,
     bin_by_similarity,
@@ -109,30 +110,29 @@ def normalization_factor(
 
 
 def save_normalization(norm: NormalizationFactor, path: str | Path) -> None:
-    payload = {
-        "value": norm.value,
-        "model_id": norm.model_id,
-        "direction": list(norm.direction),
-        "n_parallel": norm.n_parallel,
-        "n_unrelated": norm.n_unrelated,
-        "seed": norm.seed,
-    }
-    _write_json(path, payload)
+    _write_json(path, asdict(norm))
 
 
 def load_normalization(path: str | Path) -> NormalizationFactor:
+    """Load a norm file; a missing, mistyped or non-finite value raises
+    :class:`DataError` naming the file and the key."""
     payload = _read_json(path)
-    try:
-        return NormalizationFactor(
-            value=float(payload["value"]),
-            model_id=payload["model_id"],
-            direction=tuple(payload["direction"]),
-            n_parallel=int(payload["n_parallel"]),
-            n_unrelated=int(payload["n_unrelated"]),
-            seed=int(payload["seed"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed normalization file: {exc}") from exc
+    ctx = f"{path}: malformed normalization file"
+    if not isinstance(payload, dict):
+        raise DataError(f"{ctx}: not a JSON object")
+    direction = _get(payload, "direction", ctx)
+    if not isinstance(direction, list) or len(direction) != 2 or not all(
+        isinstance(lang, str) for lang in direction
+    ):
+        raise DataError(f"{ctx}: key 'direction' is not a list of two strings")
+    return NormalizationFactor(
+        value=_real(payload, "value", ctx),
+        model_id=_str(payload, "model_id", ctx),
+        direction=tuple(direction),
+        n_parallel=_int(payload, "n_parallel", ctx),
+        n_unrelated=_int(payload, "n_unrelated", ctx),
+        seed=_int(payload, "seed", ctx),
+    )
 
 
 def normalized_shift(sim_pair: float, sim_distractor: float, value: float) -> float:

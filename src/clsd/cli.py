@@ -233,7 +233,7 @@ def _cmd_generate(args: argparse.Namespace, config: RunConfig) -> tuple[str, int
     corpus = rec.load_parallel_corpus(args.corpus)
     gcfg = _generation_config(config)
     seed = args.seed if args.seed is not None else (config.seed or 0)
-    instances, log = gen.generate_dataset(corpus, gcfg, seed=seed)
+    instances, log = gen.generate_dataset(corpus, gcfg)
     rec.save_clsd_dataset(instances, args.out)
     rec._write_jsonl(
         Path(args.out + ".log.jsonl"),
@@ -315,16 +315,9 @@ def _cmd_diff_annotate(args: argparse.Namespace, config: RunConfig) -> tuple[str
             diff = single_token_diff(inst.target, distractor)
             if diff is None:
                 continue
+            # pos is filled in downstream by a POS tagger plus human review
             lines.append(
-                {
-                    "instance_id": inst.id,
-                    "distractor_index": index,
-                    "position": diff.position,
-                    "target_token": diff.target_token,
-                    "distractor_token": diff.distractor_token,
-                    # filled in downstream by a POS tagger plus human review
-                    "pos": "",
-                }
+                {"instance_id": inst.id, "distractor_index": index, **asdict(diff), "pos": ""}
             )
     rec._write_jsonl(Path(args.out), lines)
     return f"candidates={len(lines)}", None
@@ -384,24 +377,17 @@ def render_report(paths: Sequence[str], fmt: str = "markdown") -> str:
     datasets = sorted({key[2] for key in rows})
     modes = sorted({key[0] for key in rows}, key=lambda m: (m != ev.MODE_DIRECT, m))
 
-    def cell(mode: str, model: str, dataset: str) -> str:
-        value = rows.get((mode, model, dataset))
-        return "" if value is None else f"{100.0 * value:.2f}"
-
-    def average(mode: str, model: str) -> str:
-        values = [
-            rows[(mode, model, d)] for d in datasets if (mode, model, d) in rows
-        ]
-        return f"{100.0 * sum(values) / len(values):.2f}"
+    table = []  # (mode, model, cells + Average), grouped by mode
+    for mode in modes:
+        for model in sorted({k[1] for k in rows if k[0] == mode}):
+            values = [rows.get((mode, model, d)) for d in datasets]
+            present = [v for v in values if v is not None]
+            cells = ["" if v is None else f"{100.0 * v:.2f}" for v in values]
+            table.append((mode, model, cells + [f"{100.0 * sum(present) / len(present):.2f}"]))
 
     if fmt == "csv":
         lines = ["mode,model," + ",".join(datasets) + ",Average"]
-        for mode in modes:
-            for model in sorted({k[1] for k in rows if k[0] == mode}):
-                cells = [cell(mode, model, d) for d in datasets]
-                lines.append(
-                    f"{mode},{model}," + ",".join(cells) + f",{average(mode, model)}"
-                )
+        lines += [f"{mode},{model}," + ",".join(cells) for mode, model, cells in table]
         return "\n".join(lines) + "\n"
 
     lines = ["# Precision@1 (%)"]
@@ -411,11 +397,9 @@ def render_report(paths: Sequence[str], fmt: str = "markdown") -> str:
         lines.append("")
         lines.append("| Model | " + " | ".join(datasets) + " | Average |")
         lines.append("| --- | " + " | ".join("---:" for _ in datasets) + " | ---: |")
-        for model in sorted({k[1] for k in rows if k[0] == mode}):
-            cells = [cell(mode, model, d) for d in datasets]
-            lines.append(
-                f"| {model} | " + " | ".join(cells) + f" | {average(mode, model)} |"
-            )
+        for row_mode, model, cells in table:
+            if row_mode == mode:
+                lines.append(f"| {model} | " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
 

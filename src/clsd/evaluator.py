@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ClsdError, DataError
 from .providers import Embedder, ServiceTranslator, _ordered_map
 from .records import ClsdInstance, Sentence, _read_json, _write_json
+from .records import _get, _int, _is_real, _real, _str
 
 MODE_DIRECT = "direct"
 MODE_PIVOT = "pivot"
@@ -184,30 +185,43 @@ def save_eval_report(report: EvalReport, path: str | Path) -> None:
     _write_json(path, payload)
 
 
+def _result_from_obj(entry: dict, ctx: str) -> InstanceResult:
+    sims = _get(entry, "sim_distractors", ctx)
+    if not isinstance(sims, list) or not all(_is_real(s) for s in sims):
+        raise DataError(f"{ctx}: key 'sim_distractors' is not a list of finite numbers")
+    success = _get(entry, "success", ctx)
+    if not isinstance(success, bool):
+        raise DataError(f"{ctx}: key 'success' is not a boolean")
+    return InstanceResult(
+        instance_id=_str(entry, "id", ctx),
+        sim_target=_real(entry, "sim_target", ctx),
+        sim_distractors=tuple(float(s) for s in sims),
+        rank_of_target=_int(entry, "rank_of_target", ctx),
+        success=success,
+    )
+
+
 def load_eval_report(path: str | Path) -> EvalReport:
+    """Load a report; a missing, mistyped or non-finite value raises
+    :class:`DataError` naming the file and the key."""
     payload = _read_json(path)
-    try:
-        results = tuple(
-            InstanceResult(
-                instance_id=entry["id"],
-                sim_target=float(entry["sim_target"]),
-                sim_distractors=tuple(float(s) for s in entry["sim_distractors"]),
-                rank_of_target=int(entry["rank_of_target"]),
-                success=bool(entry["success"]),
-            )
-            for entry in payload["results"]
-        )
-        return EvalReport(
-            dataset_id=payload["dataset_id"],
-            backend_id=payload["backend_id"],
-            model_id=payload["model_id"],
-            mode=payload["mode"],
-            n=int(payload["n"]),
-            p_at_1=float(payload["p_at_1"]),
-            results=results,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed eval report: {exc}") from exc
+    ctx = f"{path}: malformed eval report"
+    if not isinstance(payload, dict):
+        raise DataError(f"{ctx}: not a JSON object")
+    entries = _get(payload, "results", ctx)
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise DataError(f"{ctx}: key 'results' is not a list of objects")
+    return EvalReport(
+        dataset_id=_str(payload, "dataset_id", ctx),
+        backend_id=_str(payload, "backend_id", ctx),
+        model_id=_str(payload, "model_id", ctx),
+        mode=_str(payload, "mode", ctx),
+        n=_int(payload, "n", ctx),
+        p_at_1=_real(payload, "p_at_1", ctx),
+        results=tuple(
+            _result_from_obj(entry, f"{ctx}: results[{i}]") for i, entry in enumerate(entries)
+        ),
+    )
 
 
 def _pivot_group(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -177,17 +177,14 @@ class GenerationLogEntry:
 def generate_dataset(
     corpus: Sequence[ParallelPair],
     cfg: GenerationConfig,
-    seed: int = 0,
     transport: Transport | None = None,
 ) -> tuple[list[ClsdInstance], list[GenerationLogEntry]]:
     """Generate instances for a whole corpus; failures skip, never abort.
 
     Returns instances in corpus order plus one log entry per pair, so
-    ``len(instances) + number of skipped entries == len(corpus)``. ``seed``
-    is provenance only: generation draws no local randomness, but the value
-    is recorded by callers so future sampling policies stay reproducible.
+    ``len(instances) + number of skipped entries == len(corpus)``.
+    Generation draws no local randomness.
     """
-    del seed
 
     def run_one(pair: ParallelPair) -> tuple[ClsdInstance | None, GenerationLogEntry]:
         start = time.perf_counter()
@@ -236,12 +233,8 @@ class StatsReport:
 
     def to_json(self) -> dict:
         return {
-            "n_instances": self.n_instances,
-            "n_distractors": self.n_distractors,
-            "jaccard_mean": self.jaccard_mean,
-            "jaccard_std": self.jaccard_std,
+            **asdict(self),
             "single_diff_count": dict(sorted(self.single_diff_count.items())),
-            "intra_jaccard_mean": self.intra_jaccard_mean,
         }
 
 

@@ -40,9 +40,10 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 import threading
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
 
@@ -252,6 +253,27 @@ def _str(obj: dict, key: str, ctx: str) -> str:
     return value
 
 
+def _int(obj: dict, key: str, ctx: str) -> int:
+    value = _get(obj, key, ctx)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DataError(f"{ctx}: key {key!r} is not an integer")
+    return value
+
+
+def _is_real(value: object) -> bool:
+    """A number that converts to a finite float; a bool is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max  # false for NaN, infinities and huge ints
+
+
+def _real(obj: dict, key: str, ctx: str) -> float:
+    value = _get(obj, key, ctx)
+    if not _is_real(value):
+        raise DataError(f"{ctx}: key {key!r} is not a finite number")
+    return float(value)
+
+
 def _write_atomic_text(path: Path, content: str) -> None:
     # temp file + rename: a crash mid-write never leaves a half-written artifact;
     # the temp name is per process and thread so concurrent writers never share it
@@ -279,16 +301,32 @@ def _write_json(path: str | Path, payload: object) -> None:
 # ---------------------------------------------------------------------------
 # Parallel corpora
 
+def _pair_to_obj(record: ParallelPair | ClsdInstance) -> dict:
+    """The five keys of a corpus row, which also lead every dataset row."""
+    return {
+        "id": record.id,
+        "src_lang": record.source.lang,
+        "tgt_lang": record.target.lang,
+        "source": record.source.text,
+        "target": record.target.text,
+    }
+
+
+def _pair_from_obj(obj: dict, ctx: str) -> tuple[str, Sentence, Sentence]:
+    """``(id, source, target)`` from the keys :func:`_pair_to_obj` writes."""
+    return (
+        _str(obj, "id", ctx),
+        Sentence(_str(obj, "source", ctx), _str(obj, "src_lang", ctx)),
+        Sentence(_str(obj, "target", ctx), _str(obj, "tgt_lang", ctx)),
+    )
+
+
 def load_parallel_corpus(path: str | Path) -> list[ParallelPair]:
     """Load a parallel corpus, enforcing id uniqueness within the file."""
     seen: set[str] = set()
 
     def build(obj: dict, ctx: str) -> ParallelPair:
-        pair = ParallelPair(
-            id=_str(obj, "id", ctx),
-            source=Sentence(_str(obj, "source", ctx), _str(obj, "src_lang", ctx)),
-            target=Sentence(_str(obj, "target", ctx), _str(obj, "tgt_lang", ctx)),
-        )
+        pair = ParallelPair(*_pair_from_obj(obj, ctx))
         if pair.id in seen:
             raise DataError(f"duplicate id {pair.id!r}")
         seen.add(pair.id)
@@ -298,19 +336,7 @@ def load_parallel_corpus(path: str | Path) -> list[ParallelPair]:
 
 
 def save_parallel_corpus(pairs: Sequence[ParallelPair], path: str | Path) -> None:
-    _write_jsonl(
-        Path(path),
-        [
-            {
-                "id": p.id,
-                "src_lang": p.source.lang,
-                "tgt_lang": p.target.lang,
-                "source": p.source.text,
-                "target": p.target.text,
-            }
-            for p in pairs
-        ],
-    )
+    _write_jsonl(Path(path), [_pair_to_obj(p) for p in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -322,27 +348,22 @@ def _instance_from_obj(obj: dict, ctx: str) -> ClsdInstance:
         isinstance(d, str) for d in distractors
     ):
         raise DataError(f"{ctx}: key 'distractors' is not a list of strings")
-    if len(distractors) != DISTRACTORS_PER_INSTANCE:
-        raise DataError(
-            f"{ctx}: length(distractors)={DISTRACTORS_PER_INSTANCE} violated "
-            f"(got {len(distractors)})"
-        )
     meta = obj.get("meta", {})
     if not isinstance(meta, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
     ):
         raise DataError(f"{ctx}: key 'meta' is not a string-to-string object")
-    tgt_lang = _str(obj, "tgt_lang", ctx)
+    instance_id, source, target = _pair_from_obj(obj, ctx)
     pivot_lang = None
     if "pivot_lang" in obj:
         pivot_lang = _str(obj, "pivot_lang", ctx)
-        if _str(obj, "original_id", ctx) != _str(obj, "id", ctx):
+        if _str(obj, "original_id", ctx) != instance_id:
             raise DataError(f"{ctx}: original_id differs from id")
     instance = ClsdInstance(
-        id=_str(obj, "id", ctx),
-        source=Sentence(_str(obj, "source", ctx), _str(obj, "src_lang", ctx)),
-        target=Sentence(_str(obj, "target", ctx), tgt_lang),
-        distractors=tuple(Sentence(d, tgt_lang) for d in distractors),
+        id=instance_id,
+        source=source,
+        target=target,
+        distractors=tuple(Sentence(d, target.lang) for d in distractors),
         meta=dict(meta),
         pivot_lang=pivot_lang,
     )
@@ -366,15 +387,9 @@ def load_clsd_dataset(path: str | Path) -> list[ClsdInstance]:
 
 
 def _instance_to_obj(instance: ClsdInstance) -> dict:
-    obj = {
-        "id": instance.id,
-        "src_lang": instance.source.lang,
-        "tgt_lang": instance.target.lang,
-        "source": instance.source.text,
-        "target": instance.target.text,
-        "distractors": [d.text for d in instance.distractors],
-        "meta": dict(sorted(instance.meta.items())),
-    }
+    obj = _pair_to_obj(instance)
+    obj["distractors"] = [d.text for d in instance.distractors]
+    obj["meta"] = dict(sorted(instance.meta.items()))
     if instance.pivot_lang is not None:
         obj["pivot_lang"] = instance.pivot_lang
         obj["original_id"] = instance.id
@@ -396,16 +411,10 @@ save_pivot_dataset = save_clsd_dataset
 # Annotations
 
 def _annotation_from_obj(obj: dict, ctx: str) -> DiffAnnotation:
-    index = _get(obj, "distractor_index", ctx)
-    position = _get(obj, "position", ctx)
-    if not isinstance(index, int) or isinstance(index, bool):
-        raise DataError("distractor_index is not an integer")
-    if not isinstance(position, int) or isinstance(position, bool):
-        raise DataError("position is not an integer")
     return DiffAnnotation(
         instance_id=_str(obj, "instance_id", ctx),
-        distractor_index=index,
-        position=position,
+        distractor_index=_int(obj, "distractor_index", ctx),
+        position=_int(obj, "position", ctx),
         target_token=_str(obj, "target_token", ctx),
         distractor_token=_str(obj, "distractor_token", ctx),
         pos=_str(obj, "pos", ctx),
@@ -418,20 +427,7 @@ def load_annotations(path: str | Path) -> list[DiffAnnotation]:
 
 
 def save_annotations(annotations: Sequence[DiffAnnotation], path: str | Path) -> None:
-    _write_jsonl(
-        Path(path),
-        [
-            {
-                "instance_id": a.instance_id,
-                "distractor_index": a.distractor_index,
-                "position": a.position,
-                "target_token": a.target_token,
-                "distractor_token": a.distractor_token,
-                "pos": a.pos,
-            }
-            for a in annotations
-        ],
-    )
+    _write_jsonl(Path(path), [asdict(a) for a in annotations])
 
 
 # ---------------------------------------------------------------------------

@@ -1147,6 +1147,51 @@ class TestManifests:
         assert set(manifest["inputs"]) == inputs
         assert (manifest["config_sha256"] is not None) == config_hashed
         assert manifest["seed"] == seed
+        assert manifest["version"] == clsd.__version__
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "doc,key,value",
+        [
+            ("report", "dataset_id", 7),
+            ("report", "mode", None),
+            ("report", "n", True),
+            ("report", "p_at_1", float("nan")),
+            ("report", "p_at_1", "0.25"),
+            ("report", "id", 7),
+            ("report", "success", "false"),
+            ("report", "rank_of_target", 1.5),
+            ("report", "sim_target", True),
+            ("report", "sim_distractors", [0.1, 0.2, 0.3, float("inf")]),
+            ("norm", "direction", "de"),
+            ("norm", "model_id", 5),
+            ("norm", "seed", True),
+            ("norm", "value", "0.5"),
+        ],
+    )
+    def test_mistyped_value_exit_1(
+        self, tmp_path, manifest_files, dataset_path, doc, key, value, capsys
+    ):
+        obj = json.loads(manifest_files[doc].read_text(encoding="utf-8"))
+        (obj if key in obj else obj["results"][0])[key] = value
+        path = tmp_path / f"{doc}.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        out = str(tmp_path / "out")
+        if doc == "report":
+            argv = ["report", "--inputs", str(path), "--out", out]
+            what = "malformed eval report"
+        else:
+            argv = ["shift", "--dataset", str(dataset_path), "--annotations",
+                    str(ANNOTATIONS_PATH), "--norm", str(path), "--backend", "lexical",
+                    "--out", out]
+            what = "malformed normalization file"
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {what}: ")
+        assert f"key {key!r}" in err
+        assert "Traceback" not in err
 
 
 class TestArgumentHandling:
@@ -1168,7 +1213,7 @@ class TestArgumentHandling:
 
     def test_version(self, capsys):
         assert run(["--version"]) == 0
-        assert capsys.readouterr().out.startswith("clsd ")
+        assert capsys.readouterr().out == f"clsd {clsd.__version__}\n"
 
     def test_unknown_config_section(self, tmp_path, dataset_path, capsys):
         config = tmp_path / "cfg.json"
@@ -1298,6 +1343,17 @@ class TestEmbedderSelection:
 
 
 class TestConsoleScript:
+    def test_version_declared_once(self):
+        """pyproject.toml takes the version from ``clsd.__version__``, so a
+        checkout and an installed package report the same one."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            meta = tomllib.load(fh)
+        assert "version" not in meta["project"]
+        assert "version" in meta["project"]["dynamic"]
+        assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "clsd.__version__"}
+
     def test_version_smoke(self, tmp_path):
         """The declared ``clsd`` command starts in a fresh process and prints its version.
 

@@ -210,7 +210,7 @@ class TestGenerateInstance:
 
 class TestGenerateDataset:
     def test_full_corpus_in_order(self, fixture_corpus, generation_config):
-        instances, log = generate_dataset(fixture_corpus, generation_config, seed=0)
+        instances, log = generate_dataset(fixture_corpus, generation_config)
         assert [i.id for i in instances] == [p.id for p in fixture_corpus]
         assert len(log) == len(fixture_corpus)
         assert all(e.outcome == "ok" and e.attempts == 1 for e in log)
@@ -220,7 +220,7 @@ class TestGenerateDataset:
     ):
         paths = []
         for name in ("a.jsonl", "b.jsonl"):
-            instances, _ = generate_dataset(fixture_corpus, generation_config, seed=0)
+            instances, _ = generate_dataset(fixture_corpus, generation_config)
             path = tmp_path / name
             save_clsd_dataset(instances, path)
             paths.append(path)

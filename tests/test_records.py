@@ -140,6 +140,12 @@ class TestCorpusIO:
         save_parallel_corpus(fixture_corpus, path)
         assert load_parallel_corpus(path) == fixture_corpus
 
+    def test_key_order_is_fixed(self, tmp_path, fixture_corpus):
+        path = tmp_path / "corpus.jsonl"
+        save_parallel_corpus(fixture_corpus[:1], path)
+        keys = list(json.loads(path.read_text(encoding="utf-8")))
+        assert keys == ["id", "src_lang", "tgt_lang", "source", "target"]
+
     def test_duplicate_id_rejected(self, tmp_path):
         line = json.dumps(
             {
@@ -419,6 +425,20 @@ class TestAnnotationIO:
         path = tmp_path / "ann.jsonl"
         save_annotations(fixture_annotations, path)
         assert load_annotations(path) == fixture_annotations
+
+    def test_key_order_follows_fields(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        save_annotations([DiffAnnotation("x1", 0, 1, "chat", "chien", "NOUN")], path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        assert list(obj) == [
+            "instance_id",
+            "distractor_index",
+            "position",
+            "target_token",
+            "distractor_token",
+            "pos",
+        ]
+        assert list(obj.values()) == ["x1", 0, 1, "chat", "chien", "NOUN"]
 
     def test_out_of_range_index_rejected(self, tmp_path):
         obj = {
