@@ -26,8 +26,8 @@ import numpy as np
 from .errors import DataError
 from .evaluator import EvalReport, _similarity
 from .providers import Embedder
-from .records import ClsdInstance, DiffAnnotation, Sentence, _read_json, _write_json
-from .records import _get, _int, _real, _str
+from .records import ClsdInstance, DiffAnnotation, Sentence, _load_json, _write_json
+from .records import _context, _get, _int, _real, _str
 from .textmetrics import (
     DEFAULT_BIN_EDGES,
     bin_by_similarity,
@@ -113,26 +113,26 @@ def save_normalization(norm: NormalizationFactor, path: str | Path) -> None:
     _write_json(path, asdict(norm))
 
 
-def load_normalization(path: str | Path) -> NormalizationFactor:
-    """Load a norm file; a missing, mistyped or non-finite value raises
-    :class:`DataError` naming the file and the key."""
-    payload = _read_json(path)
-    ctx = f"{path}: malformed normalization file"
-    if not isinstance(payload, dict):
-        raise DataError(f"{ctx}: not a JSON object")
-    direction = _get(payload, "direction", ctx)
+def _norm_from_obj(payload: dict) -> NormalizationFactor:
+    direction = _get(payload, "direction")
     if not isinstance(direction, list) or len(direction) != 2 or not all(
         isinstance(lang, str) for lang in direction
     ):
-        raise DataError(f"{ctx}: key 'direction' is not a list of two strings")
+        raise DataError("key 'direction' is not a list of two strings")
     return NormalizationFactor(
-        value=_real(payload, "value", ctx),
-        model_id=_str(payload, "model_id", ctx),
+        value=_real(payload, "value"),
+        model_id=_str(payload, "model_id"),
         direction=tuple(direction),
-        n_parallel=_int(payload, "n_parallel", ctx),
-        n_unrelated=_int(payload, "n_unrelated", ctx),
-        seed=_int(payload, "seed", ctx),
+        n_parallel=_int(payload, "n_parallel"),
+        n_unrelated=_int(payload, "n_unrelated"),
+        seed=_int(payload, "seed"),
     )
+
+
+def load_normalization(path: str | Path) -> NormalizationFactor:
+    """Load a norm file; a missing, mistyped or non-finite value, or a broken
+    invariant, raises :class:`DataError` naming the file and the key."""
+    return _load_json(path, "malformed normalization file", _norm_from_obj)
 
 
 def normalized_shift(sim_pair: float, sim_distractor: float, value: float) -> float:
@@ -278,26 +278,24 @@ def shift_analysis(
 
     resolved: list[tuple[DiffAnnotation, tuple[str, str, str]]] = []
     for ann in annotations:
-        where = f"annotation {ann.instance_id}/{ann.distractor_index}"
-        inst = by_id.get(ann.instance_id)
-        if inst is None:
-            raise DataError(f"{where}: unknown instance id")
-        distractor = inst.distractors[ann.distractor_index]
-        diff = single_token_diff(inst.target, distractor)
-        if diff is None:
-            raise DataError(
-                f"{where}: target and distractor do not differ by exactly one token"
-            )
-        if (
-            diff.position != ann.position
-            or diff.target_token != ann.target_token
-            or diff.distractor_token != ann.distractor_token
-        ):
-            raise DataError(
-                f"{where}: annotation disagrees with tokenizer: "
-                f"({ann.position}, {ann.target_token!r}, {ann.distractor_token!r})"
-                f" vs ({diff.position}, {diff.target_token!r}, {diff.distractor_token!r})"
-            )
+        with _context(f"annotation {ann.instance_id}/{ann.distractor_index}"):
+            inst = by_id.get(ann.instance_id)
+            if inst is None:
+                raise DataError("unknown instance id")
+            distractor = inst.distractors[ann.distractor_index]
+            diff = single_token_diff(inst.target, distractor)
+            if diff is None:
+                raise DataError("target and distractor do not differ by exactly one token")
+            if (
+                diff.position != ann.position
+                or diff.target_token != ann.target_token
+                or diff.distractor_token != ann.distractor_token
+            ):
+                raise DataError(
+                    "annotation disagrees with tokenizer: "
+                    f"({ann.position}, {ann.target_token!r}, {ann.distractor_token!r})"
+                    f" vs ({diff.position}, {diff.target_token!r}, {diff.distractor_token!r})"
+                )
         resolved.append((ann, (inst.source.text, inst.target.text, distractor.text)))
 
     sim = _similarity(embedder, (t for _, texts in resolved for t in texts))

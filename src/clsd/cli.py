@@ -36,6 +36,7 @@ cache directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -51,7 +52,7 @@ from . import generator as gen
 from . import providers as prov
 from . import records as rec
 from .errors import DataError, ProviderError
-from .textmetrics import DEFAULT_BIN_EDGES, single_token_diff
+from .textmetrics import DEFAULT_BIN_EDGES, single_token_diff, validate_edges
 
 CACHE_DIR_ENV = "CLSD_CACHE_DIR"
 
@@ -77,10 +78,6 @@ def _optional_string(value: object) -> str | None:
     return None if value is None else _string(value)
 
 
-def _bin_edges(value: object) -> tuple[tuple[float, float], ...]:
-    return tuple((float(lo), float(hi)) for lo, hi in value)
-
-
 _PROVIDER_SECTIONS = ("embedding", "chat", "translation")
 _PROVIDER_KEYS = {
     "endpoint": _string,
@@ -101,7 +98,7 @@ _SECTIONS = {
         "temperature": float,
         "top_p": float,
     },
-    "analysis": {"bin_edges": _bin_edges, "seed": int},
+    "analysis": {"bin_edges": validate_edges, "seed": int},
     "paths": {"cache_dir": _optional_string},
 }
 
@@ -117,50 +114,46 @@ class RunConfig:
     cache_dir: str | None = None
 
 
-def _provider_config(kind: str, values: dict, ctx: str) -> prov.ProviderConfig:
-    for key in ("endpoint", "model_id"):
-        if key not in values:
-            raise DataError(f"{ctx}: missing key {key!r}")
-    return prov.ProviderConfig(kind=kind, **values)
-
-
-def load_run_config(path: str | Path) -> RunConfig:
-    raw = rec._read_json(path)
-    if not isinstance(raw, dict):
-        raise DataError(f"{path}: config must be a JSON object")
+def _run_config(raw: dict) -> RunConfig:
     unknown = set(raw) - set(_SECTIONS)
     if unknown:
-        raise DataError(f"{path}: unknown config sections {sorted(unknown)}")
-
+        raise DataError(f"unknown config sections {sorted(unknown)}")
     fields: dict = {}
     for name, converters in _SECTIONS.items():
         section = raw.get(name)
         if section is None:  # an absent or null section keeps its defaults
             continue
-        ctx = f"{path}: section {name!r}"
-        if not isinstance(section, dict):
-            raise DataError(f"{ctx}: expected a JSON object")
-        unknown = set(section) - set(converters)
-        if unknown:
-            raise DataError(f"{ctx}: unknown keys {sorted(unknown)}")
-        values = {}
-        for key, value in section.items():
-            try:
-                values[key] = converters[key](value)
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{ctx}: key {key!r}: {exc}") from exc
-        if name in _PROVIDER_SECTIONS:
-            fields[name] = _provider_config(name, values, ctx)
-        elif name == "generation":
-            params = prov.ChatParams(
-                temperature=values.pop("temperature", 1.0), top_p=values.pop("top_p", 1.0)
-            )
-            if "language_names" in values:
-                values["language_name_map"] = values.pop("language_names")
-            fields[name] = {"params": params, **values}
-        else:  # analysis and paths keys are RunConfig fields
-            fields.update(values)
+        with rec._context(f"section {name!r}"):
+            if not isinstance(section, dict):
+                raise DataError("expected a JSON object")
+            unknown = set(section) - set(converters)
+            if unknown:
+                raise DataError(f"unknown keys {sorted(unknown)}")
+            values = {}
+            for key, value in section.items():
+                try:
+                    values[key] = converters[key](value)
+                except (TypeError, ValueError) as exc:  # DataError is a ValueError
+                    raise DataError(f"key {key!r}: {exc}") from exc
+            if name in _PROVIDER_SECTIONS:
+                for key in ("endpoint", "model_id"):  # the keys without a default
+                    rec._get(values, key)
+                fields[name] = prov.ProviderConfig(kind=name, **values)
+            elif name == "generation":
+                params = prov.ChatParams(
+                    temperature=values.pop("temperature", 1.0), top_p=values.pop("top_p", 1.0)
+                )
+                if "language_names" in values:
+                    values["language_name_map"] = values.pop("language_names")
+                fields[name] = {"params": params, **values}
+            else:  # analysis and paths keys are RunConfig fields
+                fields.update(values)
     return RunConfig(**fields)
+
+
+def load_run_config(path: str | Path) -> RunConfig:
+    """Load a config file; a bad value is a :class:`DataError` naming the file and section."""
+    return rec._load_json(path, "", _run_config)
 
 
 def _generation_config(config: RunConfig) -> gen.GenerationConfig:
@@ -445,6 +438,7 @@ _FLAG_KWARGS = {
 }
 
 
+@functools.cache  # built once per process and shared by every run()
 def _build_parser() -> _Parser:
     parser = _Parser(prog="clsd", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"clsd {__version__}")

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ClsdError, DataError
 from .providers import Embedder, ServiceTranslator, _ordered_map
-from .records import ClsdInstance, Sentence, _read_json, _write_json
-from .records import _get, _int, _is_real, _real, _str
+from .records import ClsdInstance, Sentence, _load_json, _write_json
+from .records import _context, _get, _int, _is_real, _real, _str
 
 MODE_DIRECT = "direct"
 MODE_PIVOT = "pivot"
@@ -185,43 +185,42 @@ def save_eval_report(report: EvalReport, path: str | Path) -> None:
     _write_json(path, payload)
 
 
-def _result_from_obj(entry: dict, ctx: str) -> InstanceResult:
-    sims = _get(entry, "sim_distractors", ctx)
-    if not isinstance(sims, list) or not all(_is_real(s) for s in sims):
-        raise DataError(f"{ctx}: key 'sim_distractors' is not a list of finite numbers")
-    success = _get(entry, "success", ctx)
-    if not isinstance(success, bool):
-        raise DataError(f"{ctx}: key 'success' is not a boolean")
-    return InstanceResult(
-        instance_id=_str(entry, "id", ctx),
-        sim_target=_real(entry, "sim_target", ctx),
-        sim_distractors=tuple(float(s) for s in sims),
-        rank_of_target=_int(entry, "rank_of_target", ctx),
-        success=success,
+def _result_from_obj(index: int, entry: dict) -> InstanceResult:
+    with _context(f"results[{index}]"):
+        sims = _get(entry, "sim_distractors")
+        if not isinstance(sims, list) or not all(_is_real(s) for s in sims):
+            raise DataError("key 'sim_distractors' is not a list of finite numbers")
+        success = _get(entry, "success")
+        if not isinstance(success, bool):
+            raise DataError("key 'success' is not a boolean")
+        return InstanceResult(
+            instance_id=_str(entry, "id"),
+            sim_target=_real(entry, "sim_target"),
+            sim_distractors=tuple(float(s) for s in sims),
+            rank_of_target=_int(entry, "rank_of_target"),
+            success=success,
+        )
+
+
+def _report_from_obj(payload: dict) -> EvalReport:
+    entries = _get(payload, "results")
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise DataError("key 'results' is not a list of objects")
+    return EvalReport(
+        dataset_id=_str(payload, "dataset_id"),
+        backend_id=_str(payload, "backend_id"),
+        model_id=_str(payload, "model_id"),
+        mode=_str(payload, "mode"),
+        n=_int(payload, "n"),
+        p_at_1=_real(payload, "p_at_1"),
+        results=tuple(_result_from_obj(i, entry) for i, entry in enumerate(entries)),
     )
 
 
 def load_eval_report(path: str | Path) -> EvalReport:
-    """Load a report; a missing, mistyped or non-finite value raises
-    :class:`DataError` naming the file and the key."""
-    payload = _read_json(path)
-    ctx = f"{path}: malformed eval report"
-    if not isinstance(payload, dict):
-        raise DataError(f"{ctx}: not a JSON object")
-    entries = _get(payload, "results", ctx)
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise DataError(f"{ctx}: key 'results' is not a list of objects")
-    return EvalReport(
-        dataset_id=_str(payload, "dataset_id", ctx),
-        backend_id=_str(payload, "backend_id", ctx),
-        model_id=_str(payload, "model_id", ctx),
-        mode=_str(payload, "mode", ctx),
-        n=_int(payload, "n", ctx),
-        p_at_1=_real(payload, "p_at_1", ctx),
-        results=tuple(
-            _result_from_obj(entry, f"{ctx}: results[{i}]") for i, entry in enumerate(entries)
-        ),
-    )
+    """Load a report; a missing, mistyped or non-finite value, or a broken
+    invariant, raises :class:`DataError` naming the file and the key."""
+    return _load_json(path, "malformed eval report", _report_from_obj)
 
 
 def _pivot_group(

@@ -15,8 +15,9 @@ Offline endpoint schemes, used by tests and desk-scale runs:
   matched against the final user message verbatim. The file is parsed once
   and kept in one slot keyed by its path, inode, size and mtime, so it is
   read again when it changes and reading another file drops the old table.
-  A malformed line, or one that is not UTF-8, fails every request, naming
-  the file and line.
+  It is read as a dataset is: a malformed line, or one that is not UTF-8 or
+  holds a lone surrogate escape, fails every request, naming the file and
+  line.
 * ``identity:`` (translation): returns inputs unchanged.
 * ``lexical`` / ``lexical:<dim>`` (embedding): the built-in character n-gram
   embedder, :class:`LexicalEmbedder`; :func:`lexical_dim` parses the spec.
@@ -24,7 +25,9 @@ Offline endpoint schemes, used by tests and desk-scale runs:
 Every embedder returns one read-only ``(n, d)`` float64 matrix per batch, row
 ``i`` for text ``i``; the embedder object carries ``backend_id`` and
 ``model_id``. A service embedding is checked to be a non-empty finite 1-d
-vector where it enters, before it is cached.
+vector where it enters, before it is cached. Chat and translation text that
+UTF-8 cannot encode (a lone surrogate) is refused where it enters too, since
+no dataset could be written with it.
 
 API keys are read from the environment variable named in the config and are
 never written to disk. Batch operations preserve input order regardless of
@@ -51,6 +54,7 @@ from typing import Callable, Protocol, Sequence, TypeVar
 import numpy as np
 
 from .errors import DataError, ProviderError
+from .records import _load_jsonl, _str
 
 KIND_EMBEDDING = "embedding"
 KIND_CHAT = "chat"
@@ -416,35 +420,16 @@ def lexical_embed(text: str, dim: int = DEFAULT_LEXICAL_DIM) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Chat completion
 
+def _refuse_unencodable(text: str) -> None:
+    """Refuse provider text that UTF-8 cannot encode: a lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ProviderError(f"provider text holds a lone surrogate at index {exc.start}") from exc
+
+
 def _load_replay(path: str) -> dict[str, str]:
-    table: dict[str, str] = {}
-    # Split at \n, \r and \r\n as text mode does, then decode each line alone
-    # so that a bad byte names its line. A bad line is a permanent error:
-    # re-reading the same file cannot fix it.
-    for lineno, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise _PermanentProviderError(
-                f"{path}:{lineno}: replay line is not UTF-8: {exc}"
-            ) from exc
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            obj = None
-        if not (
-            isinstance(obj, dict)
-            and isinstance(obj.get("key"), str)
-            and isinstance(obj.get("content"), str)
-        ):
-            raise _PermanentProviderError(
-                f"{path}:{lineno}: replay line is not a JSON object "
-                'with string "key" and "content"'
-            )
-        table[obj["key"]] = obj["content"]
-    return table
+    return dict(_load_jsonl(path, lambda obj: (_str(obj, "key"), _str(obj, "content"))))
 
 
 # The table of the replay file read last, keyed by its path and stat. One
@@ -464,7 +449,10 @@ def _replay_table(path: str) -> dict[str, str]:
     key = (path, st.st_ino, st.st_size, st.st_mtime_ns)
     with _replay_lock:
         if _replay_slot is None or _replay_slot[0] != key:
-            _replay_slot = (key, _load_replay(path))
+            try:
+                _replay_slot = (key, _load_replay(path))
+            except DataError as exc:  # re-reading the same file cannot fix it
+                raise _PermanentProviderError(str(exc)) from exc
         return _replay_slot[1]
 
 
@@ -505,6 +493,7 @@ def chat_complete(
             raise ProviderError(f"malformed chat response: {resp!r}") from exc
     if not isinstance(content, str) or not content.strip():
         raise ProviderError("empty completion")
+    _refuse_unencodable(content)
     return content
 
 
@@ -538,6 +527,8 @@ def translate_batch(
             isinstance(t, str) for t in translations
         ):
             raise ProviderError(f"malformed translation response: {resp!r}")
+        for text in translations:
+            _refuse_unencodable(text)
         if len(translations) != len(chunk):
             raise ProviderError(
                 f"count mismatch: sent {len(chunk)} texts, got {len(translations)} translations"

@@ -43,6 +43,7 @@ import re
 import sys
 import threading
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TypeVar
@@ -200,63 +201,79 @@ def _read_lines(path: Path) -> Iterator[tuple[int, dict]]:
                 _refuse_lone_surrogates(obj, line, f"{path}:{lineno}")
                 yield lineno, obj
     except UnicodeDecodeError:
-        # the text layer decodes ahead in chunks, so find the line again
-        with open(path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise DataError(
-                        f"{path}:{lineno}: not UTF-8: byte {raw[exc.start]:#04x} "
-                        f"at byte offset {exc.start} of the line"
-                    ) from exc
+        # the text layer decodes ahead in chunks, so find the line again,
+        # splitting at \n, \r and \r\n as text mode does
+        for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(
+                    f"{path}:{lineno}: not UTF-8: byte {raw[exc.start]:#04x} "
+                    f"at byte offset {exc.start} of the line"
+                ) from exc
         raise
 
 
-def _load_jsonl(path: str | Path, build: Callable[[dict, str], _T]) -> list[_T]:
-    """``build(obj, ctx)`` for each record in file order; ``ctx`` is ``path:line``,
-    and a :class:`DataError` from ``build`` is raised with that prefix once."""
+@contextmanager
+def _context(ctx: str) -> Iterator[None]:
+    """Put ``ctx: `` in front of a :class:`DataError` raised inside, unless its
+    message starts so already. Contexts nest, outermost first, so a reader
+    states only what is wrong and the file, line, section or index is named
+    exactly once."""
+    try:
+        yield
+    except DataError as exc:
+        if str(exc).startswith(f"{ctx}: "):
+            raise
+        raise DataError(f"{ctx}: {exc}") from exc
+
+
+def _load_jsonl(path: str | Path, build: Callable[[dict], _T]) -> list[_T]:
+    """``build(obj)`` for each record in file order; a :class:`DataError` names
+    the file and line."""
     path = Path(path)
     out: list[_T] = []
     for lineno, obj in _read_lines(path):
-        ctx = f"{path}:{lineno}"
         try:
-            out.append(build(obj, ctx))
-        except DataError as exc:
-            msg = str(exc)
-            raise DataError(msg if msg.startswith(f"{ctx}: ") else f"{ctx}: {msg}") from exc
+            out.append(build(obj))
+        except DataError:
+            with _context(f"{path}:{lineno}"):  # built on the error path only
+                raise
     return out
 
 
-def _read_json(path: str | Path):
-    """The JSON document in ``path``. A file that is not UTF-8 or not JSON, or
-    that holds a lone surrogate escape, raises :class:`DataError` naming it."""
+def _load_json(path: str | Path, what: str, build: Callable[[dict], _T]) -> _T:
+    """``build(obj)`` for the JSON object in ``path``; a :class:`DataError`
+    names the file, then ``what`` unless it is empty."""
     try:
         text = Path(path).read_text(encoding="utf-8")
         obj = json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
     _refuse_lone_surrogates(obj, text, str(path))
-    return obj
+    with _context(f"{path}: {what}" if what else str(path)):
+        if not isinstance(obj, dict):
+            raise DataError("not a JSON object")
+        return build(obj)
 
 
-def _get(obj: dict, key: str, ctx: str):
+def _get(obj: dict, key: str):
     if key not in obj:
-        raise DataError(f"{ctx}: missing key {key!r}")
+        raise DataError(f"missing key {key!r}")
     return obj[key]
 
 
-def _str(obj: dict, key: str, ctx: str) -> str:
-    value = _get(obj, key, ctx)
+def _str(obj: dict, key: str) -> str:
+    value = _get(obj, key)
     if not isinstance(value, str):
-        raise DataError(f"{ctx}: key {key!r} is not a string")
+        raise DataError(f"key {key!r} is not a string")
     return value
 
 
-def _int(obj: dict, key: str, ctx: str) -> int:
-    value = _get(obj, key, ctx)
+def _int(obj: dict, key: str) -> int:
+    value = _get(obj, key)
     if not isinstance(value, int) or isinstance(value, bool):
-        raise DataError(f"{ctx}: key {key!r} is not an integer")
+        raise DataError(f"key {key!r} is not an integer")
     return value
 
 
@@ -267,10 +284,10 @@ def _is_real(value: object) -> bool:
     return abs(value) <= sys.float_info.max  # false for NaN, infinities and huge ints
 
 
-def _real(obj: dict, key: str, ctx: str) -> float:
-    value = _get(obj, key, ctx)
+def _real(obj: dict, key: str) -> float:
+    value = _get(obj, key)
     if not _is_real(value):
-        raise DataError(f"{ctx}: key {key!r} is not a finite number")
+        raise DataError(f"key {key!r} is not a finite number")
     return float(value)
 
 
@@ -312,12 +329,12 @@ def _pair_to_obj(record: ParallelPair | ClsdInstance) -> dict:
     }
 
 
-def _pair_from_obj(obj: dict, ctx: str) -> tuple[str, Sentence, Sentence]:
+def _pair_from_obj(obj: dict) -> tuple[str, Sentence, Sentence]:
     """``(id, source, target)`` from the keys :func:`_pair_to_obj` writes."""
     return (
-        _str(obj, "id", ctx),
-        Sentence(_str(obj, "source", ctx), _str(obj, "src_lang", ctx)),
-        Sentence(_str(obj, "target", ctx), _str(obj, "tgt_lang", ctx)),
+        _str(obj, "id"),
+        Sentence(_str(obj, "source"), _str(obj, "src_lang")),
+        Sentence(_str(obj, "target"), _str(obj, "tgt_lang")),
     )
 
 
@@ -325,8 +342,8 @@ def load_parallel_corpus(path: str | Path) -> list[ParallelPair]:
     """Load a parallel corpus, enforcing id uniqueness within the file."""
     seen: set[str] = set()
 
-    def build(obj: dict, ctx: str) -> ParallelPair:
-        pair = ParallelPair(*_pair_from_obj(obj, ctx))
+    def build(obj: dict) -> ParallelPair:
+        pair = ParallelPair(*_pair_from_obj(obj))
         if pair.id in seen:
             raise DataError(f"duplicate id {pair.id!r}")
         seen.add(pair.id)
@@ -342,23 +359,23 @@ def save_parallel_corpus(pairs: Sequence[ParallelPair], path: str | Path) -> Non
 # ---------------------------------------------------------------------------
 # Discrimination datasets
 
-def _instance_from_obj(obj: dict, ctx: str) -> ClsdInstance:
-    distractors = _get(obj, "distractors", ctx)
+def _instance_from_obj(obj: dict) -> ClsdInstance:
+    distractors = _get(obj, "distractors")
     if not isinstance(distractors, list) or not all(
         isinstance(d, str) for d in distractors
     ):
-        raise DataError(f"{ctx}: key 'distractors' is not a list of strings")
+        raise DataError("key 'distractors' is not a list of strings")
     meta = obj.get("meta", {})
     if not isinstance(meta, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
     ):
-        raise DataError(f"{ctx}: key 'meta' is not a string-to-string object")
-    instance_id, source, target = _pair_from_obj(obj, ctx)
+        raise DataError("key 'meta' is not a string-to-string object")
+    instance_id, source, target = _pair_from_obj(obj)
     pivot_lang = None
     if "pivot_lang" in obj:
-        pivot_lang = _str(obj, "pivot_lang", ctx)
-        if _str(obj, "original_id", ctx) != instance_id:
-            raise DataError(f"{ctx}: original_id differs from id")
+        pivot_lang = _str(obj, "pivot_lang")
+        if _str(obj, "original_id") != instance_id:
+            raise DataError("original_id differs from id")
     instance = ClsdInstance(
         id=instance_id,
         source=source,
@@ -372,7 +389,7 @@ def _instance_from_obj(obj: dict, ctx: str) -> ClsdInstance:
     if pivot_lang is None:
         for d in instance.distractors:
             if d.text == instance.target.text:
-                raise DataError(f"{ctx}: distractor equals target")
+                raise DataError("distractor equals target")
     return instance
 
 
@@ -410,14 +427,14 @@ save_pivot_dataset = save_clsd_dataset
 # ---------------------------------------------------------------------------
 # Annotations
 
-def _annotation_from_obj(obj: dict, ctx: str) -> DiffAnnotation:
+def _annotation_from_obj(obj: dict) -> DiffAnnotation:
     return DiffAnnotation(
-        instance_id=_str(obj, "instance_id", ctx),
-        distractor_index=_int(obj, "distractor_index", ctx),
-        position=_int(obj, "position", ctx),
-        target_token=_str(obj, "target_token", ctx),
-        distractor_token=_str(obj, "distractor_token", ctx),
-        pos=_str(obj, "pos", ctx),
+        instance_id=_str(obj, "instance_id"),
+        distractor_index=_int(obj, "distractor_index"),
+        position=_int(obj, "position"),
+        target_token=_str(obj, "target_token"),
+        distractor_token=_str(obj, "distractor_token"),
+        pos=_str(obj, "pos"),
     )
 
 

@@ -12,6 +12,7 @@ import clsd
 from clsd.cli import (
     CACHE_DIR_ENV,
     RunConfig,
+    _build_parser,
     _embedder,
     load_run_config,
     render_report,
@@ -207,7 +208,8 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "bad_line",
         [b"not json", b'["key", "content"]', b'{"content": "x"}', b'{"key": "k", "content": 5}',
-         b'{"key": "caf\xe9", "content": "x"}'],  # the last one is Latin-1, not UTF-8
+          b'{"key": "caf\xe9", "content": "x"}',  # Latin-1, not UTF-8
+         b'{"key": "k", "content": "\\ud800"}'],  # a lone surrogate, which UTF-8 cannot write
     )
     def test_malformed_replay_line_skips_every_pair(self, tmp_path, replay_path, bad_line, capsys):
         replay = tmp_path / "replies.jsonl"
@@ -1194,7 +1196,73 @@ class TestMalformedDocuments:
         assert "Traceback" not in err
 
 
+class TestInvariantErrorsNameTheFile:
+    """A record invariant broken in an input file is reported under its name."""
+
+    @pytest.mark.parametrize(
+        "doc,change,message",
+        [
+            ("report", lambda o: o.update(mode="x"), "mode must be direct or pivot"),
+            ("report", lambda o: o.update(n=2, results=o["results"][:1]),
+             "n must equal the number of results"),
+            ("report", lambda o: o.update(p_at_1=o["p_at_1"] + 0.01),
+             "p_at_1 does not equal the success fraction"),
+            ("norm", lambda o: o.update(value=-0.5), "value must be positive"),
+            ("config", lambda o: o["embedding"].update(max_batch=0),
+             "section 'embedding': max_batch and max_inflight must be >= 1"),
+            ("config", lambda o: o["embedding"].update(retry_attempts=0),
+             "section 'embedding': retry_attempts must be >= 1"),
+            ("config", lambda o: o.update(generation={"temperature": -1}),
+             "section 'generation': temperature must be >= 0"),
+            ("config", lambda o: o.update(generation={"top_p": 0}),
+             "section 'generation': top_p must be in (0, 1]"),
+            ("config", lambda o: o.update(analysis={"bin_edges": [[0.5, 1.0], [0.6, 0.9]]}),
+             "section 'analysis': key 'bin_edges': bin edges overlap"),
+        ],
+        ids=["mode", "n", "p_at_1", "norm_value", "max_batch", "retry_attempts",
+             "temperature", "top_p", "bin_edges"],
+    )
+    def test_exit_1_naming_the_file(
+        self, tmp_path, manifest_files, dataset_path, doc, change, message, capsys
+    ):
+        if doc == "config":
+            obj = {"embedding": {"endpoint": "lexical", "model_id": "m"}}
+        else:
+            obj = json.loads(manifest_files[doc].read_text(encoding="utf-8"))
+        change(obj)
+        path = tmp_path / f"{doc}.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        out = str(tmp_path / "out")
+        argv = {
+            "report": ["report", "--inputs", str(path), "--out", out],
+            "norm": ["shift", "--dataset", str(dataset_path), "--annotations",
+                     str(ANNOTATIONS_PATH), "--norm", str(path), "--backend", "lexical",
+                     "--out", out],
+            "config": ["eval", "--dataset", str(dataset_path), "--config", str(path),
+                       "--out", out],
+        }[doc]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestArgumentHandling:
+    def test_parser_built_once_and_reused(self, dataset_path, capsys):
+        assert _build_parser() is _build_parser()
+        helps = []
+        for _ in range(2):
+            assert run(["--help"]) == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+        assert helps[0].startswith("usage: clsd ")
+        assert run(["validate", "--nope"]) == 1
+        assert "usage:" in capsys.readouterr().err
+        assert run(["validate", "--dataset", str(dataset_path)]) == 0
+        assert capsys.readouterr().out.startswith("n_records=")
+
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
         assert "usage:" in capsys.readouterr().err

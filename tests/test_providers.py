@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ import clsd
 from clsd import providers
 from clsd.errors import DataError, ProviderError
 from clsd.evaluator import pivot_dataset
-from clsd.generator import GenerationConfig, generate_dataset
+from clsd.generator import GenerationConfig, generate_dataset, generate_instance
 from clsd.providers import (
     DEFAULT_LEXICAL_DIM,
     ChatParams,
@@ -33,7 +34,13 @@ from clsd.providers import (
     make_translator,
     translate_batch,
 )
-from clsd.records import ClsdInstance, ParallelPair, Sentence
+from clsd.records import (
+    ClsdInstance,
+    ParallelPair,
+    Sentence,
+    load_clsd_dataset,
+    save_clsd_dataset,
+)
 
 from conftest import FROZEN_LEXICAL_COSINE_ABCD_ABCE
 
@@ -730,7 +737,7 @@ class TestChatComplete:
         replay.write_text(json.dumps({"key": "q", "content": "a"}) + "\n{not json\n")
         cfg = self.chat_config(endpoint=f"replay:{replay}")
         for _ in range(3):
-            with pytest.raises(_PermanentProviderError, match=f"{replay}:2: replay line"):
+            with pytest.raises(_PermanentProviderError, match=f"{replay}:2: invalid JSON: "):
                 chat_complete(cfg, [("user", "q")])
         assert len(parsed) == 3
 
@@ -955,11 +962,69 @@ class TestFanOut:
 
 
 def test_one_thread_pool_and_one_json_reader():
-    """Only the provider layer fans out threads, and only records parses JSON files."""
+    """Only the provider layer fans out threads, only records parses JSON, and
+    only records' prefix helper takes a ``ctx``: no reader builds the prefix itself."""
     src = Path(clsd.__file__).parent
     for module in sorted(src.glob("*.py")):
-        if module.name in ("providers.py", "records.py"):
-            continue
         text = module.read_text(encoding="utf-8")
-        for needle in ("ThreadPoolExecutor", "json.load("):
+        needles = ("ThreadPoolExecutor",) if module.name != "providers.py" else ()
+        if module.name != "records.py":
+            needles += ("json.load(", "json.loads(")
+        for needle in needles:
             assert needle not in text, f"{module.name} uses {needle}"
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                params = {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+                where = (module.name, getattr(node, "name", "<lambda>"))
+                assert "ctx" not in params or where == ("records.py", "_context"), where
+
+
+def _surrogate_generate():
+    def transport(endpoint, payload):
+        target = payload["messages"][-1]["content"].rsplit("\n", 1)[1]
+        mark = "\ud800" if target == "Phrase 0." else ""
+        content = "\n".join(f"{n}. {target} {n}{mark}" for n in range(1, 5))
+        return {"choices": [{"message": {"content": content}}]}
+
+    chat = ProviderConfig(kind="chat", endpoint="https://svc.test/v1/chat", model_id="chat-1")
+    cfg = GenerationConfig(chat=chat)
+    corpus = [
+        ParallelPair(f"p{k}", Sentence(f"Satz {k}.", "de"), Sentence(f"Phrase {k}.", "fr"))
+        for k in range(3)
+    ]
+    instances, log = generate_dataset(corpus, cfg, transport=transport)
+    with pytest.raises(ProviderError) as refused:  # the log keeps no reason
+        generate_instance(corpus[0], cfg, transport=transport)
+    return instances, [e.pair_id for e in log if e.outcome != "ok"], str(refused.value)
+
+
+def _surrogate_pivot():
+    def transport(endpoint, payload):
+        texts = payload["texts"]
+        return {"translations": [f"en:{t}" + ("\udc80" if t[:3] == "p0 " else "") for t in texts]}
+
+    cfg = ProviderConfig(kind="translation", endpoint="fake://mt", model_id="mt")
+    dataset = [
+        ClsdInstance(
+            id=f"p{k}",
+            source=Sentence(f"p{k} src", "de"),
+            target=Sentence(f"p{k} tgt", "fr"),
+            distractors=tuple(Sentence(f"p{k} d{j}", "fr") for j in range(4)),
+        )
+        for k in range(3)
+    ]
+    pivots, skipped = pivot_dataset(dataset, make_translator(cfg, transport), "en")
+    return pivots, [i for i, _ in skipped], "; ".join(reason for _, reason in skipped)
+
+
+@pytest.mark.parametrize("case", [_surrogate_generate, _surrogate_pivot],
+                         ids=["chat_complete", "translate_batch"])
+def test_lone_surrogate_from_provider_is_refused(case, tmp_path):
+    """Text UTF-8 cannot encode is refused where it enters, so the one bad
+    instance is skipped and the rest still save."""
+    instances, skipped, reason = case()
+    assert skipped == ["p0"]
+    assert "lone surrogate" in reason
+    out = tmp_path / "out.jsonl"
+    save_clsd_dataset(instances, out)
+    assert [i.id for i in load_clsd_dataset(out)] == ["p1", "p2"]

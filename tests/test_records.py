@@ -262,6 +262,7 @@ class TestDatasetIO:
         cases = {
             b"\xff\xfe" + '{"id": "p"}\n'.encode("utf-16-le"): (1, 0, 0xFF),  # UTF-16
             b'\n \n{"id": "\xe9t\xe9"}\n': (3, 8, 0xE9),  # Latin-1 after blank lines
+            b' \r{"id": "\xe9"}\r\n': (2, 8, 0xE9),  # \r ends a line, as in text mode
             # cut inside a character, past the text decoder's first chunks
             b" \n" * 6000 + b'{"id": "\xc3': (6001, 8, 0xC3),
         }
