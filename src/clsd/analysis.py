@@ -27,7 +27,7 @@ from .errors import DataError
 from .evaluator import EvalReport, _similarity
 from .providers import Embedder
 from .records import ClsdInstance, DiffAnnotation, Sentence, _load_json, _write_json
-from .records import _context, _get, _int, _real, _str
+from .records import _context, _int, _is_str, _list, _real, _str
 from .textmetrics import (
     DEFAULT_BIN_EDGES,
     bin_by_similarity,
@@ -114,15 +114,10 @@ def save_normalization(norm: NormalizationFactor, path: str | Path) -> None:
 
 
 def _norm_from_obj(payload: dict) -> NormalizationFactor:
-    direction = _get(payload, "direction")
-    if not isinstance(direction, list) or len(direction) != 2 or not all(
-        isinstance(lang, str) for lang in direction
-    ):
-        raise DataError("key 'direction' is not a list of two strings")
     return NormalizationFactor(
         value=_real(payload, "value"),
         model_id=_str(payload, "model_id"),
-        direction=tuple(direction),
+        direction=tuple(_list(payload, "direction", _is_str, "two strings", n=2)),
         n_parallel=_int(payload, "n_parallel"),
         n_unrelated=_int(payload, "n_unrelated"),
         seed=_int(payload, "seed"),

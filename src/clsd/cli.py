@@ -68,38 +68,35 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # Configuration file
 
-def _string(value: object) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {type(value).__name__}")
-    return value
-
-
-def _optional_string(value: object) -> str | None:
-    return None if value is None else _string(value)
+def _edges(section: dict, key: str) -> tuple[tuple[float, float], ...]:
+    pair = lambda p: isinstance(p, list) and len(p) == 2 and all(map(rec._is_real, p))
+    edges = rec._list(section, key, pair, "[lo, hi] pairs of finite numbers")
+    with rec._context(f"key {key!r}"):
+        return validate_edges(edges)
 
 
 _PROVIDER_SECTIONS = ("embedding", "chat", "translation")
 _PROVIDER_KEYS = {
-    "endpoint": _string,
-    "model_id": _string,
-    "api_key_env": _optional_string,
-    "max_batch": int,
-    "max_inflight": int,
-    "retry_attempts": int,
-    "retry_base_ms": int,
+    "endpoint": rec._str,
+    "model_id": rec._str,
+    "api_key_env": rec._optional_str,
+    "max_batch": rec._int,
+    "max_inflight": rec._int,
+    "retry_attempts": rec._int,
+    "retry_base_ms": rec._int,
 }
-# Every config section with its allowed keys and the conversion of each value.
+# Every config section with its allowed keys and the reader of each value.
 _SECTIONS = {
     **{kind: _PROVIDER_KEYS for kind in _PROVIDER_SECTIONS},
     "generation": {
-        "max_retries": int,
-        "prompt_version": _string,
-        "language_names": dict,
-        "temperature": float,
-        "top_p": float,
+        "max_retries": rec._int,
+        "prompt_version": rec._str,
+        "language_names": rec._str_map,
+        "temperature": rec._real,
+        "top_p": rec._real,
     },
-    "analysis": {"bin_edges": validate_edges, "seed": int},
-    "paths": {"cache_dir": _optional_string},
+    "analysis": {"bin_edges": _edges, "seed": rec._int},
+    "paths": {"cache_dir": rec._optional_str},
 }
 
 
@@ -119,33 +116,26 @@ def _run_config(raw: dict) -> RunConfig:
     if unknown:
         raise DataError(f"unknown config sections {sorted(unknown)}")
     fields: dict = {}
-    for name, converters in _SECTIONS.items():
+    for name, readers in _SECTIONS.items():
         section = raw.get(name)
         if section is None:  # an absent or null section keeps its defaults
             continue
         with rec._context(f"section {name!r}"):
             if not isinstance(section, dict):
                 raise DataError("expected a JSON object")
-            unknown = set(section) - set(converters)
+            unknown = set(section) - set(readers)
             if unknown:
                 raise DataError(f"unknown keys {sorted(unknown)}")
-            values = {}
-            for key, value in section.items():
-                try:
-                    values[key] = converters[key](value)
-                except (TypeError, ValueError) as exc:  # DataError is a ValueError
-                    raise DataError(f"key {key!r}: {exc}") from exc
+            values = {key: readers[key](section, key) for key in section}
             if name in _PROVIDER_SECTIONS:
                 for key in ("endpoint", "model_id"):  # the keys without a default
                     rec._get(values, key)
                 fields[name] = prov.ProviderConfig(kind=name, **values)
             elif name == "generation":
-                params = prov.ChatParams(
-                    temperature=values.pop("temperature", 1.0), top_p=values.pop("top_p", 1.0)
-                )
+                params = {k: values.pop(k) for k in ("temperature", "top_p") if k in values}
                 if "language_names" in values:
                     values["language_name_map"] = values.pop("language_names")
-                fields[name] = {"params": params, **values}
+                fields[name] = {"params": prov.ChatParams(**params), **values}
             else:  # analysis and paths keys are RunConfig fields
                 fields.update(values)
     return RunConfig(**fields)
@@ -321,7 +311,8 @@ def _cmd_shift(args: argparse.Namespace, config: RunConfig) -> tuple[str, None]:
     annotations = rec.load_annotations(args.annotations)
     norm = ana.load_normalization(args.norm)
     embedder = _embedder(args.backend, config)
-    table = ana.shift_analysis(embedder, dataset, annotations, norm)
+    with rec._context(str(args.annotations)):  # its data errors all concern an annotation
+        table = ana.shift_analysis(embedder, dataset, annotations, norm)
     rec._write_atomic_text(Path(args.out), ana.shift_table_to_csv(table))
     any_stats = table.group(ana.ANY_GROUP)
     return f"records={any_stats.n} mean_cross_shift={any_stats.mean_cross_shift:.4f}", None

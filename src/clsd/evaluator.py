@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ClsdError, DataError
 from .providers import Embedder, ServiceTranslator, _ordered_map
 from .records import ClsdInstance, Sentence, _load_json, _write_json
-from .records import _context, _get, _int, _is_real, _real, _str
+from .records import _context, _get, _int, _is_real, _list, _real, _str
 
 MODE_DIRECT = "direct"
 MODE_PIVOT = "pivot"
@@ -187,9 +187,7 @@ def save_eval_report(report: EvalReport, path: str | Path) -> None:
 
 def _result_from_obj(index: int, entry: dict) -> InstanceResult:
     with _context(f"results[{index}]"):
-        sims = _get(entry, "sim_distractors")
-        if not isinstance(sims, list) or not all(_is_real(s) for s in sims):
-            raise DataError("key 'sim_distractors' is not a list of finite numbers")
+        sims = _list(entry, "sim_distractors", _is_real, "finite numbers")
         success = _get(entry, "success")
         if not isinstance(success, bool):
             raise DataError("key 'success' is not a boolean")
@@ -203,9 +201,7 @@ def _result_from_obj(index: int, entry: dict) -> InstanceResult:
 
 
 def _report_from_obj(payload: dict) -> EvalReport:
-    entries = _get(payload, "results")
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise DataError("key 'results' is not a list of objects")
+    entries = _list(payload, "results", lambda e: isinstance(e, dict), "objects")
     return EvalReport(
         dataset_id=_str(payload, "dataset_id"),
         backend_id=_str(payload, "backend_id"),

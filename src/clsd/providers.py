@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import threading
@@ -72,6 +73,8 @@ class ChatParams:
     top_p: float = 1.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.temperature):
+            raise DataError("temperature must be finite")
         if self.temperature < 0:
             raise DataError("temperature must be >= 0")
         if not (0 < self.top_p <= 1):
@@ -96,6 +99,8 @@ class ProviderConfig:
             raise DataError("max_batch and max_inflight must be >= 1")
         if self.retry_attempts < 1:
             raise DataError("retry_attempts must be >= 1")
+        if self.retry_base_ms < 0:
+            raise DataError("retry_base_ms must be >= 0")
 
 
 Transport = Callable[[str, dict], dict]

@@ -270,11 +270,19 @@ def _str(obj: dict, key: str) -> str:
     return value
 
 
+def _optional_str(obj: dict, key: str) -> str | None:
+    return None if _get(obj, key) is None else _str(obj, key)
+
+
 def _int(obj: dict, key: str) -> int:
     value = _get(obj, key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise DataError(f"key {key!r} is not an integer")
     return value
+
+
+def _is_str(value: object) -> bool:
+    return isinstance(value, str)
 
 
 def _is_real(value: object) -> bool:
@@ -289,6 +297,20 @@ def _real(obj: dict, key: str) -> float:
     if not _is_real(value):
         raise DataError(f"key {key!r} is not a finite number")
     return float(value)
+
+
+def _str_map(obj: dict, key: str) -> dict[str, str]:
+    value = _get(obj, key)
+    if not isinstance(value, dict) or not all(map(_is_str, [*value, *value.values()])):
+        raise DataError(f"key {key!r} is not a string-to-string object")
+    return value
+
+
+def _list(obj: dict, key: str, item: Callable[[object], bool], what: str, n: int | None = None):
+    value = _get(obj, key)
+    if not isinstance(value, list) or n not in (None, len(value)) or not all(map(item, value)):
+        raise DataError(f"key {key!r} is not a list of {what}")
+    return value
 
 
 def _write_atomic_text(path: Path, content: str) -> None:
@@ -360,16 +382,8 @@ def save_parallel_corpus(pairs: Sequence[ParallelPair], path: str | Path) -> Non
 # Discrimination datasets
 
 def _instance_from_obj(obj: dict) -> ClsdInstance:
-    distractors = _get(obj, "distractors")
-    if not isinstance(distractors, list) or not all(
-        isinstance(d, str) for d in distractors
-    ):
-        raise DataError("key 'distractors' is not a list of strings")
-    meta = obj.get("meta", {})
-    if not isinstance(meta, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
-    ):
-        raise DataError("key 'meta' is not a string-to-string object")
+    distractors = _list(obj, "distractors", _is_str, "strings")
+    meta = _str_map(obj, "meta") if "meta" in obj else {}
     instance_id, source, target = _pair_from_obj(obj)
     pivot_lang = None
     if "pivot_lang" in obj:
@@ -381,7 +395,7 @@ def _instance_from_obj(obj: dict) -> ClsdInstance:
         source=source,
         target=target,
         distractors=tuple(Sentence(d, target.lang) for d in distractors),
-        meta=dict(meta),
+        meta=meta,
         pivot_lang=pivot_lang,
     )
     # A translator may map a distractor onto the target; the scorer counts

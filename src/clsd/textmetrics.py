@@ -196,16 +196,19 @@ def single_token_diff(target: Sentence, distractor: Sentence) -> DiffRecord | No
 
 
 def validate_edges(edges: Sequence[Sequence[float]]) -> tuple[tuple[float, float], ...]:
-    """Check bin edges: descending, non-overlapping, inside [0, 1]."""
+    """Check bin edges: descending, inside [0, 1], and tiling: each bin's ``lo``
+    is the next bin's ``hi``, so underflow is exactly ``[0, lowest lo)``."""
     out = tuple((float(lo), float(hi)) for lo, hi in edges)
     if not out:
         raise DataError("empty bin edges")
     for lo, hi in out:
         if not (0.0 <= lo < hi <= 1.0):
             raise DataError(f"bad bin ({lo}, {hi}): need 0 <= lo < hi <= 1")
-    for (lo_upper, _), (_, hi_lower) in zip(out, out[1:]):
-        if hi_lower > lo_upper:
+    for upper, lower in zip(out, out[1:]):
+        if lower[1] > upper[0]:
             raise DataError("bin edges overlap or are not sorted descending")
+        if lower[1] < upper[0]:
+            raise DataError(f"gap between bins {upper} and {lower}: each lo must be the next hi")
     return out
 
 
@@ -216,11 +219,16 @@ def bin_index(value: float, edges: Sequence[Sequence[float]]) -> int | None:
     includes value == hi, so a similarity of exactly 1.0 is representable.
     Values above the topmost bin are a caller error.
     """
-    checked = validate_edges(edges)
+    return _bin_of(value, validate_edges(edges))
+
+
+def _bin_of(value: float, checked: tuple[tuple[float, float], ...]) -> int | None:
+    """:func:`bin_index` over edges that :func:`validate_edges` returned; as
+    the bins tile, the first one whose ``lo`` is at most ``value`` holds it."""
     if value > checked[0][1]:
         raise DataError(f"value {value} above the topmost bin {checked[0]}")
-    for i, (lo, hi) in enumerate(checked):
-        if lo <= value < hi or (i == 0 and value == hi):
+    for i, (lo, _) in enumerate(checked):
+        if lo <= value:
             return i
     return None
 
@@ -234,7 +242,7 @@ def bin_by_similarity(
     counts = [0] * len(checked)
     underflow = 0
     for value in values:
-        idx = bin_index(value, checked)
+        idx = _bin_of(value, checked)
         if idx is None:
             underflow += 1
         else:

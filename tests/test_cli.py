@@ -4,12 +4,18 @@ import shutil
 import sqlite3
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clsd
 from clsd.cli import (
+    _SECTIONS,
     CACHE_DIR_ENV,
     RunConfig,
     _build_parser,
@@ -20,7 +26,8 @@ from clsd.cli import (
 )
 from clsd.errors import DataError
 from clsd.evaluator import EvalReport, InstanceResult, load_eval_report, save_eval_report
-from clsd.providers import LexicalEmbedder, ProviderConfig, ServiceEmbedder
+from clsd.generator import GenerationConfig
+from clsd.providers import ChatParams, LexicalEmbedder, ProviderConfig, ServiceEmbedder
 from clsd.records import (
     ClsdInstance,
     Sentence,
@@ -1218,9 +1225,13 @@ class TestInvariantErrorsNameTheFile:
              "section 'generation': top_p must be in (0, 1]"),
             ("config", lambda o: o.update(analysis={"bin_edges": [[0.5, 1.0], [0.6, 0.9]]}),
              "section 'analysis': key 'bin_edges': bin edges overlap"),
+            ("config", lambda o: o["embedding"].update(retry_base_ms=-100),
+             "section 'embedding': retry_base_ms must be >= 0"),
+            ("config", lambda o: o.update(analysis={"bin_edges": [[0.9, 1.0], [0.3, 0.6]]}),
+             "section 'analysis': key 'bin_edges': gap between bins (0.9, 1.0) and (0.3, 0.6)"),
         ],
         ids=["mode", "n", "p_at_1", "norm_value", "max_batch", "retry_attempts",
-             "temperature", "top_p", "bin_edges"],
+             "temperature", "top_p", "bin_edges", "retry_base_ms", "bin_edges_gap"],
     )
     def test_exit_1_naming_the_file(
         self, tmp_path, manifest_files, dataset_path, doc, change, message, capsys
@@ -1247,6 +1258,103 @@ class TestInvariantErrorsNameTheFile:
         assert err.startswith(f"error: {path}: ")
         assert message in err
         assert "Traceback" not in err
+
+
+# A mutation replaces one leaf value of an input file by one of these, or
+# deletes its key; "\ud800" is written as a lone-surrogate escape.
+_DELETE = object()
+_MUTANTS = (None, True, 1.5, -1, "7", "nan", [], {}, "\ud800", _DELETE)
+_MUTATION_CONFIG = {
+    "embedding": {"endpoint": "lexical", "model_id": "m", "api_key_env": None, "max_batch": 8,
+                  "max_inflight": 2, "retry_attempts": 3, "retry_base_ms": 250},
+    "chat": {"endpoint": "replay:unused.jsonl", "model_id": "m"},
+    "generation": {"max_retries": 2, "prompt_version": "v1", "language_names": {"de": "German"},
+                   "temperature": 0.5, "top_p": 0.9},
+    "analysis": {"bin_edges": [[0.6, 1.0], [0.3, 0.6]], "seed": 17},
+    "paths": {"cache_dir": None},
+}
+
+
+def _leaves(obj, path=()):
+    """The path to every scalar and empty container in a JSON value."""
+    if isinstance(obj, (dict, list)) and obj:
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _leaves(value, (*path, key))
+    else:
+        yield path
+
+
+def _config_value(config, section, key, *rest):
+    """The loaded value of one config leaf."""
+    if section in ("embedding", "chat", "translation"):
+        value = getattr(getattr(config, section), key)
+    elif key in ("temperature", "top_p"):
+        value = getattr(config.generation["params"], key)
+    elif section == "generation":
+        value = config.generation["language_name_map" if key == "language_names" else key]
+    else:
+        value = getattr(config, key)
+    for index in rest:
+        value = value[index]
+    return value
+
+
+class TestMutatedInputs:
+    """One changed value in any input file gives exit 0, 1 or 2 and no
+    traceback; an error names that file, and a config that loads keeps the
+    new value exactly."""
+
+    @pytest.fixture(scope="class")
+    def originals(self, manifest_files, tmp_path_factory):
+        docs = {kind: [json.loads(line) for line in manifest_files[kind].read_text(
+            encoding="utf-8").splitlines()] for kind in ("dataset", "corpus", "annotations")}
+        for kind in ("report", "norm"):
+            docs[kind] = json.loads(manifest_files[kind].read_text(encoding="utf-8"))
+        docs["config"] = _MUTATION_CONFIG
+        return docs, tmp_path_factory.mktemp("mutated")
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_one_mutated_value(self, originals, manifest_files, data):
+        docs, workdir = originals
+        kind = data.draw(st.sampled_from(sorted(docs)))
+        obj = json.loads(json.dumps(docs[kind]))
+        *parents, last = data.draw(st.sampled_from(list(_leaves(obj))))
+        holder = obj
+        for key in parents:
+            holder = holder[key]
+        value = data.draw(st.sampled_from(_MUTANTS))
+        if value is _DELETE and isinstance(holder, dict):
+            del holder[last]
+        else:  # a list element is not deleted but set to null
+            holder[last] = value = None if value is _DELETE else value
+        path = workdir / f"{kind}.json"
+        jsonl = kind in ("dataset", "corpus", "annotations")
+        path.write_text("".join(json.dumps(o) + "\n" for o in obj) if jsonl else json.dumps(obj),
+                        encoding="utf-8")
+        files = {k: str(path if k == kind else v) for k, v in manifest_files.items()}
+        out = ["--out", str(workdir / "out")]
+        argv = {
+            "dataset": ["validate", "--dataset", files["dataset"]],
+            "corpus": ["norm", "--corpus", files["corpus"], "--backend", "lexical", "--seed", "17",
+                       *out],
+            "report": ["report", "--inputs", files["report"], *out],
+            "config": ["bins", "--report", files["report"], "--dataset", files["dataset"],
+                       "--config", str(path), *out],
+        }.get(kind, ["shift", "--dataset", files["dataset"], "--annotations",
+                     files["annotations"], "--norm", files["norm"], "--backend", "lexical", *out])
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().startswith(f"error: {path}")
+        if kind == "config" and value is not _DELETE:
+            try:
+                loaded = _config_value(load_run_config(path), *parents, last)
+            except DataError:
+                return
+            assert loaded == value and isinstance(loaded, bool) == isinstance(value, bool)
 
 
 class TestArgumentHandling:
@@ -1326,16 +1434,31 @@ class TestArgumentHandling:
             ({"chat": {"max_batch": "lots"}}, "section 'chat': key 'max_batch'"),
             ({"analysis": {"bin_edges": [[0.5]]}}, "section 'analysis': key 'bin_edges'"),
             ({"generation": {"temperature": "hot"}}, "section 'generation': key 'temperature'"),
-            ({"chat": {"endpoint": 5}}, "section 'chat': key 'endpoint': expected a string"),
-            ({"chat": {"model_id": [1]}}, "section 'chat': key 'model_id': expected a string"),
-            ({"chat": {"api_key_env": 5}}, "section 'chat': key 'api_key_env': expected a string"),
-            ({"paths": {"cache_dir": 5}}, "section 'paths': key 'cache_dir': expected a string"),
+            ({"chat": {"endpoint": 5}}, "section 'chat': key 'endpoint' is not a string"),
+            ({"chat": {"model_id": [1]}}, "section 'chat': key 'model_id' is not a string"),
+            ({"chat": {"api_key_env": 5}}, "section 'chat': key 'api_key_env' is not a string"),
+            ({"paths": {"cache_dir": 5}}, "section 'paths': key 'cache_dir' is not a string"),
             ({"generation": "abc"}, "section 'generation': expected a JSON object"),
             ({"embedding": ["x"]}, "section 'embedding': expected a JSON object"),
             ({"paths": {"output_dir": "out"}}, "section 'paths': unknown keys ['output_dir']"),
             (
                 {"generation": {"prompt_version": None}},
-                "section 'generation': key 'prompt_version': expected a string",
+                "section 'generation': key 'prompt_version' is not a string",
+            ),
+            ({"analysis": {"seed": 1.9}}, "section 'analysis': key 'seed' is not an integer"),
+            ({"analysis": {"seed": True}}, "section 'analysis': key 'seed' is not an integer"),
+            ({"chat": {"max_batch": 2.5}}, "section 'chat': key 'max_batch' is not an integer"),
+            (
+                {"generation": {"temperature": "nan"}},
+                "section 'generation': key 'temperature' is not a finite number",
+            ),
+            (
+                {"generation": {"language_names": {"de": 5}}},
+                "section 'generation': key 'language_names' is not a string-to-string object",
+            ),
+            (
+                {"generation": {"language_names": [["de", "German"]]}},
+                "section 'generation': key 'language_names' is not a string-to-string object",
             ),
         ],
     )
@@ -1351,23 +1474,42 @@ class TestArgumentHandling:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith(f"error: {config}: ") and message in err
         assert "Traceback" not in err
 
-    def test_convertible_config_values_still_load(self, tmp_path):
-        config = write_config(
-            tmp_path / "cfg.json",
-            embedding={"endpoint": "lexical", "model_id": "m", "max_batch": "32"},
-            analysis={"seed": "7", "bin_edges": [["0.5", 1]]},
-            generation={"max_retries": "1", "temperature": "0.5"},
-        )
-        loaded = load_run_config(config)
-        assert loaded.embedding.max_batch == 32
-        assert (loaded.seed, loaded.bin_edges) == (7, ((0.5, 1.0),))
-        assert loaded.generation["max_retries"] == 1
-        assert loaded.generation["params"].temperature == 0.5
+    def test_numeric_strings_refused_null_sections_kept(self, tmp_path, dataset_path, capsys):
+        # config values follow the report and norm rule: a number is not its spelling
+        config = tmp_path / "cfg.json"
+        for name, key, value in [
+            ("embedding", "max_batch", "32"),
+            ("analysis", "seed", "7"),
+            ("analysis", "bin_edges", [["0.5", 1]]),
+            ("generation", "max_retries", "1"),
+            ("generation", "temperature", "0.5"),
+        ]:
+            section = {"endpoint": "lexical", "model_id": "m"} if name == "embedding" else {}
+            config.write_text(json.dumps({name: {**section, key: value}}), encoding="utf-8")
+            argv = ["eval", "--dataset", str(dataset_path), "--backend", "lexical",
+                    "--config", str(config), "--out", str(tmp_path / "r.json")]
+            capsys.readouterr()
+            assert run(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {config}: section {name!r}: key {key!r} is not a")
         config.write_text('{"generation": null, "paths": null}', encoding="utf-8")
         assert load_run_config(config) == RunConfig()
+
+    def test_config_keys_follow_the_config_dataclasses(self):
+        """A new config field cannot go without a config key."""
+        def names(cls, *drop):
+            return {f.name for f in fields(cls)} - set(drop)
+
+        for kind in ("embedding", "chat", "translation"):
+            assert set(_SECTIONS[kind]) == names(ProviderConfig, "kind")
+        generation = names(GenerationConfig, "chat", "params") | names(ChatParams)
+        assert set(_SECTIONS["generation"]) == generation - {"language_name_map"} | {
+            "language_names"
+        }
+        assert set(_SECTIONS["analysis"]) | set(_SECTIONS["paths"]) == names(RunConfig, *_SECTIONS)
 
     def test_missing_input_file_exit_1(self, tmp_path, capsys):
         code = run(["validate", "--dataset", str(tmp_path / "absent.jsonl")])

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from math import inf, nan
 from pathlib import Path
 
 import numpy as np
@@ -116,7 +117,11 @@ class TestValueTypes:
         assert params.temperature == 1.0
         assert params.top_p == 1.0
 
-    @pytest.mark.parametrize("kwargs", [{"temperature": -0.1}, {"top_p": 0.0}, {"top_p": 1.5}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"temperature": -0.1}, {"top_p": 0.0}, {"top_p": 1.5}]
+        + [{key: value} for key in ("temperature", "top_p") for value in (nan, inf, -inf)],
+    )
     def test_chat_params_bounds(self, kwargs):
         with pytest.raises(DataError):
             ChatParams(**kwargs)
@@ -128,6 +133,7 @@ class TestValueTypes:
             {"max_batch": 0},
             {"max_inflight": 0},
             {"retry_attempts": 0},
+            {"retry_base_ms": -100},
         ],
     )
     def test_provider_config_bounds(self, kwargs):

@@ -347,6 +347,10 @@ class TestBins:
         with pytest.raises(DataError):
             validate_edges([(0.3, 0.6), (0.9, 1.0)])
 
+    def test_gap_between_bins_rejected(self):
+        with pytest.raises(DataError, match=r"gap between bins \(0\.9, 1\.0\) and \(0\.3, 0\.6\)"):
+            validate_edges([(0.9, 1.0), (0.3, 0.6)])
+
     def test_degenerate_bin_rejected(self):
         with pytest.raises(DataError):
             validate_edges([(0.5, 0.5)])
