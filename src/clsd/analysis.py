@@ -349,6 +349,7 @@ def success_distribution(
     report: EvalReport,
     dataset: Sequence[ClsdInstance],
     edges: Sequence[Sequence[float]] = DEFAULT_BIN_EDGES,
+    names: tuple[str, str] = ("report", "dataset"),
 ) -> SuccessDistributionTable:
     """Bin distractors by edit similarity to the target; count successes.
 
@@ -358,13 +359,17 @@ def success_distribution(
     monotone, so a failed instance still has a successful distractor and an
     instance fails exactly when one of its distractors succeeds here. Bin
     totals cover all distractors; percentages cover the successful ones
-    only. A similarity above the topmost bin is an error.
+    only. A similarity above the topmost bin is an error, and so is an id
+    that one side lacks; the message names the first such id of each side,
+    calling the sides ``names``.
     """
     checked = validate_edges(edges)
     by_id = {inst.id: inst for inst in dataset}
     report_ids = {r.instance_id for r in report.results}
-    if report_ids != set(by_id):
-        raise DataError("report and dataset cover different instance ids")
+    if report_ids != by_id.keys():
+        lacks = sorted(by_id.keys() - report_ids)[:1], sorted(report_ids - by_id.keys())[:1]
+        raise DataError(f"{names[0]} and {names[1]} cover different instance ids: "
+                        f"{names[0]} lacks {lacks[0]}, {names[1]} lacks {lacks[1]}")
 
     similarities: list[float] = []
     successful: list[float] = []

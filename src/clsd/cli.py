@@ -25,7 +25,8 @@ writes no file and returns its own exit code.
 Exit codes: 0 success, 1 validation or data errors, 2 provider or transport
 errors. All outputs are written atomically; every ``--out`` is accompanied
 by a ``<out>.manifest.json`` recording tool version, config hash, input
-digests, and seed. Configuration is one JSON file with sections
+digests, and seed. An ``--out`` whose file, manifest or log is an input
+file is refused before any work. Configuration is one JSON file with sections
 ``embedding``, ``chat``, ``translation``, ``generation``, ``analysis``,
 ``paths``; flags override config values, which override defaults. Secrets
 are only ever named (environment variable names), never inlined. The
@@ -75,6 +76,13 @@ def _edges(section: dict, key: str) -> tuple[tuple[float, float], ...]:
         return validate_edges(edges)
 
 
+def _seed(section: dict, key: str) -> int:
+    seed = rec._int(section, key)
+    if seed < 0:
+        raise DataError(f"key {key!r} is not an integer >= 0")
+    return seed
+
+
 _PROVIDER_SECTIONS = ("embedding", "chat", "translation")
 _PROVIDER_KEYS = {
     "endpoint": rec._str,
@@ -95,7 +103,7 @@ _SECTIONS = {
         "temperature": rec._real,
         "top_p": rec._real,
     },
-    "analysis": {"bin_edges": _edges, "seed": rec._int},
+    "analysis": {"bin_edges": _edges, "seed": _seed},
     "paths": {"cache_dir": rec._optional_str},
 }
 
@@ -192,15 +200,33 @@ def _sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+def _input_files(args: argparse.Namespace) -> list[tuple[str, str, str]]:
+    """(manifest name, flag, path) of each input file, sorted by name."""
+    files = [(n, "--" + n.replace("_", "-"), getattr(args, n))
+             for n in _INPUT_FLAGS if hasattr(args, n)]
+    files += [(f"report_{i}", "--inputs", p) for i, p in enumerate(getattr(args, "inputs", ()))]
+    return sorted(files)
+
+
+def _refuse_overwrite(args: argparse.Namespace, config_path: str | None) -> None:
+    """Refuse an ``--out``, or its manifest or log, that is an input file. Only
+    paths that exist can be the same file, so absent outputs cost one stat."""
+    inputs = [(flag, path) for _, flag, path in _input_files(args)]
+    inputs += [("--config", config_path)] if config_path else []
+    outs = (args.out, args.out + ".manifest.json", args.out + ".log.jsonl")
+    for out in filter(os.path.exists, outs):
+        for flag, path in inputs:
+            if os.path.exists(path) and os.path.samefile(out, path):
+                raise DataError(f"--out {args.out} would overwrite {path}, the {flag} file")
+
+
 def _write_manifest(
     args: argparse.Namespace, config_path: str | None, seed: int | None
 ) -> None:
-    inputs = {name: getattr(args, name) for name in _INPUT_FLAGS if hasattr(args, name)}
-    inputs.update((f"report_{i}", p) for i, p in enumerate(getattr(args, "inputs", ())))
     payload = {  # keys in alphabetical order
         "command": args.command,
         "config_sha256": _sha256_file(config_path) if config_path else None,
-        "inputs": {name: _sha256_file(p) for name, p in sorted(inputs.items())},
+        "inputs": {name: _sha256_file(path) for name, _, path in _input_files(args)},
         "seed": seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "tool": "clsd",
@@ -322,7 +348,8 @@ def _cmd_bins(args: argparse.Namespace, config: RunConfig) -> tuple[str, None]:
     report = ev.load_eval_report(args.report)
     dataset = rec.load_clsd_dataset(args.dataset)
     edges = config.bin_edges or DEFAULT_BIN_EDGES
-    table = ana.success_distribution(report, dataset, edges)
+    names = (f"report {args.report}", f"dataset {args.dataset}")
+    table = ana.success_distribution(report, dataset, edges, names)
     rec._write_atomic_text(Path(args.out), ana.success_distribution_to_csv(table))
     if table.flagged:
         print("no successful distractors; percentages reported as 0", file=sys.stderr)
@@ -420,9 +447,24 @@ _COMMANDS = (
     ("report", "aggregate eval reports into one table",
      ("--inputs", "[--format]", "--out"), _cmd_report),
 )
+
+
+def _seed_flag(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _lang_flag(text: str) -> str:
+    if not rec._LANG_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected two lowercase letters, got {text!r}")
+    return text
+
+
 # argparse settings of the flags that do not take one string
 _FLAG_KWARGS = {
-    "--seed": {"type": int},
+    "--seed": {"type": _seed_flag},
+    "--pivot-lang": {"type": _lang_flag},
     "--backend": {"help": "lexical[:dim] offline baseline"},
     "--inputs": {"nargs": "+"},
     "--format": {"choices": ("markdown", "csv"), "default": "markdown"},
@@ -445,6 +487,8 @@ def _build_parser() -> _Parser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     config_path = getattr(args, "config", None)
+    if hasattr(args, "out"):
+        _refuse_overwrite(args, config_path)
     config = load_run_config(config_path) if config_path else RunConfig()
     result = args.func(args, config)
     if isinstance(result, int):  # validate: no output file, its own exit code

@@ -13,21 +13,19 @@ Offline endpoint schemes, used by tests and desk-scale runs:
 
 * ``replay:<file.jsonl>`` (chat): each line ``{"key", "content"}``; the key is
   matched against the final user message verbatim. The file is parsed once
-  and kept in one slot keyed by its path, inode, size and mtime, so it is
-  read again when it changes and reading another file drops the old table.
-  It is read as a dataset is: a malformed line, or one that is not UTF-8 or
-  holds a lone surrogate escape, fails every request, naming the file and
-  line.
+  per path, inode, size and mtime, and a malformed line fails every request,
+  naming the file and line.
 * ``identity:`` (translation): returns inputs unchanged.
 * ``lexical`` / ``lexical:<dim>`` (embedding): the built-in character n-gram
   embedder, :class:`LexicalEmbedder`; :func:`lexical_dim` parses the spec.
 
-Every embedder returns one read-only ``(n, d)`` float64 matrix per batch, row
-``i`` for text ``i``; the embedder object carries ``backend_id`` and
-``model_id``. A service embedding is checked to be a non-empty finite 1-d
-vector where it enters, before it is cached. Chat and translation text that
-UTF-8 cannot encode (a lone surrogate) is refused where it enters too, since
-no dataset could be written with it.
+Every request goes through :func:`_request`: ``replay:`` and ``identity:``
+are asked once, other endpoints are retried, and each reply is read with the
+``records`` readers. A malformed reply, such as an embedding that is not a
+non-empty finite vector (refused before it is cached) or text UTF-8 cannot
+encode, is a :class:`ProviderError` naming the endpoint. Every embedder
+returns one read-only ``(n, d)`` float64 matrix per batch, row ``i`` for text
+``i``, and carries ``backend_id`` and ``model_id``.
 
 API keys are read from the environment variable named in the config and are
 never written to disk. Batch operations preserve input order regardless of
@@ -55,7 +53,7 @@ from typing import Callable, Protocol, Sequence, TypeVar
 import numpy as np
 
 from .errors import DataError, ProviderError
-from .records import _load_jsonl, _str
+from .records import _context, _get, _int, _is_obj, _is_str, _list, _load_jsonl, _str
 
 KIND_EMBEDDING = "embedding"
 KIND_CHAT = "chat"
@@ -211,6 +209,34 @@ def _ordered_map(
         return list(pool.map(fn, items))
 
 
+def _request(
+    cfg: ProviderConfig, payload: dict, read: Callable[[dict], _R], transport: Transport | None
+) -> _R:
+    """``read(reply)`` for one request: the one place a request is answered.
+
+    ``identity:`` (translation) and ``replay:`` (chat) build the reply in place,
+    once; other endpoints are posted under :func:`_with_retries`. A
+    :class:`DataError` from ``read`` becomes a :class:`ProviderError` naming
+    the endpoint."""
+    scheme, _, rest = cfg.endpoint.partition(":")
+    if cfg.kind == KIND_TRANSLATION and scheme == "identity":
+        resp = {"translations": payload["texts"]}
+    elif cfg.kind == KIND_CHAT and scheme == "replay":
+        table = _replay_table(rest)
+        user = [m["content"] for m in payload["messages"] if m["role"] == "user"]
+        key = user[-1] if user else ""
+        if key not in table:
+            raise ProviderError("no replay entry for this prompt")
+        resp = {"choices": [{"message": {"content": table[key]}}]}
+    else:
+        post = transport or _http_transport(cfg)
+        resp = _with_retries(cfg, lambda: post(cfg.endpoint, payload))
+    try:
+        return read(resp)
+    except DataError as exc:
+        raise ProviderError(f"malformed {cfg.kind} response from {cfg.endpoint}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Embedding cache
 
@@ -298,6 +324,30 @@ class EmbeddingCache:
 # ---------------------------------------------------------------------------
 # Embedding
 
+def _read_embeddings(resp: dict, n: int) -> list[np.ndarray]:
+    """The ``n`` vectors of an embedding reply, in ``index`` order."""
+    ordered: list[np.ndarray | None] = [None] * n
+    for i, entry in enumerate(_list(resp, "data", _is_obj, f"{n} objects", n)):
+        try:
+            index, embedding = _int(entry, "index"), _get(entry, "embedding")
+            if not 0 <= index < n:
+                raise DataError(f"key 'index' is not in 0..{n - 1}")
+            try:  # one conversion per vector, not one check per value
+                values = np.asarray(embedding, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                values = np.empty(0)
+            # checked before the cache sees it: a cached row is read back flat
+            if values.ndim != 1 or values.size < 1 or not np.isfinite(values).all():
+                raise DataError("key 'embedding' is not a non-empty list of finite numbers")
+        except DataError:
+            with _context(f"data[{i}]"):  # built on the error path only
+                raise
+        ordered[index] = values
+    if any(v is None for v in ordered):
+        raise DataError("embedding response misses an index")
+    return ordered  # type: ignore[return-value]
+
+
 def embed_batch(
     cfg: ProviderConfig,
     texts: Sequence[str],
@@ -326,43 +376,13 @@ def embed_batch(
             by_text[text] = hit
 
     if misses:
-        post = transport or _http_transport(cfg)
         chunks = [
             misses[i : i + cfg.max_batch] for i in range(0, len(misses), cfg.max_batch)
         ]
 
         def fetch(chunk: list[str]) -> list[np.ndarray]:
-            payload = {"model": cfg.model_id, "input": list(chunk)}
-            resp = _with_retries(cfg, lambda: post(cfg.endpoint, payload))
-            data = resp.get("data")
-            if not isinstance(data, list) or len(data) != len(chunk):
-                raise ProviderError(
-                    f"embedding backend returned {0 if not isinstance(data, list) else len(data)} "
-                    f"entries for {len(chunk)} inputs"
-                )
-            ordered: list[np.ndarray | None] = [None] * len(chunk)
-            for entry in data:
-                try:
-                    index = entry["index"]
-                    values = np.asarray(entry["embedding"], dtype=np.float64)
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ProviderError(f"malformed embedding entry: {entry!r}") from exc
-                # a list index would also take -1, and int() would take "0" or 1.5
-                if not (
-                    isinstance(index, int)
-                    and not isinstance(index, bool)
-                    and 0 <= index < len(chunk)
-                ):
-                    raise ProviderError(f"malformed embedding entry: {entry!r}")
-                ordered[index] = values
-                # checked before the cache sees it: a cached row is read back flat
-                if values.ndim != 1 or values.size < 1 or not np.isfinite(values).all():
-                    raise ProviderError(
-                        f"embedding entry {index} is not a non-empty finite 1-d vector"
-                    )
-            if any(v is None for v in ordered):
-                raise ProviderError("embedding response misses an index")
-            return ordered  # type: ignore[return-value]
+            read = lambda resp: _read_embeddings(resp, len(chunk))
+            return _request(cfg, {"model": cfg.model_id, "input": chunk}, read, transport)
 
         results = _ordered_map(fetch, chunks, cfg.max_inflight)
         for chunk, vectors in zip(chunks, results):
@@ -425,12 +445,13 @@ def lexical_embed(text: str, dim: int = DEFAULT_LEXICAL_DIM) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Chat completion
 
-def _refuse_unencodable(text: str) -> None:
-    """Refuse provider text that UTF-8 cannot encode: a lone surrogate."""
+def _encodable(texts: list[str]) -> list[str]:
+    """``texts``, refused if UTF-8 cannot encode them: no dataset could hold them."""
     try:
-        text.encode("utf-8")
+        "".join(texts).encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise ProviderError(f"provider text holds a lone surrogate at index {exc.start}") from exc
+        raise DataError("a text holds a lone surrogate") from exc
+    return texts
 
 
 def _load_replay(path: str) -> dict[str, str]:
@@ -461,6 +482,17 @@ def _replay_table(path: str) -> dict[str, str]:
         return _replay_slot[1]
 
 
+def _read_completion(resp: dict) -> str:
+    choices = _list(resp, "choices", _is_obj, "objects")
+    if not choices:
+        raise DataError("key 'choices' is an empty list")
+    with _context("choices[0]"):
+        content = _str(_get(choices[0], "message"), "content")
+    if not content.strip():
+        raise DataError("empty completion")
+    return _encodable([content])[0]
+
+
 def chat_complete(
     cfg: ProviderConfig,
     messages: Sequence[tuple[str, str]] | Sequence[dict],
@@ -476,30 +508,9 @@ def chat_complete(
         m if isinstance(m, dict) else {"role": m[0], "content": m[1]} for m in messages
     ]
 
-    if cfg.endpoint.startswith("replay:"):
-        table = _replay_table(cfg.endpoint.split(":", 1)[1])
-        user = [m for m in normalized if m["role"] == "user"]
-        key = user[-1]["content"] if user else ""
-        if key not in table:
-            raise ProviderError("no replay entry for this prompt")
-        content = table[key]
-    else:
-        payload = {
-            "model": cfg.model_id,
-            "messages": normalized,
-            "temperature": params.temperature,
-            "top_p": params.top_p,
-        }
-        post = transport or _http_transport(cfg)
-        resp = _with_retries(cfg, lambda: post(cfg.endpoint, payload))
-        try:
-            content = resp["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ProviderError(f"malformed chat response: {resp!r}") from exc
-    if not isinstance(content, str) or not content.strip():
-        raise ProviderError("empty completion")
-    _refuse_unencodable(content)
-    return content
+    payload = {"model": cfg.model_id, "messages": normalized,
+               "temperature": params.temperature, "top_p": params.top_p}
+    return _request(cfg, payload, _read_completion, transport)
 
 
 # ---------------------------------------------------------------------------
@@ -518,27 +529,13 @@ def translate_batch(
     if src == tgt:
         raise DataError(f"translation requires src != tgt, got {src!r} twice")
     texts = list(texts)
-    if cfg.endpoint.startswith("identity:"):
-        return texts
-
-    post = transport or _http_transport(cfg)
     out: list[str] = []
     for i in range(0, len(texts), cfg.max_batch):
         chunk = texts[i : i + cfg.max_batch]
         payload = {"model": cfg.model_id, "src": src, "tgt": tgt, "texts": chunk}
-        resp = _with_retries(cfg, lambda: post(cfg.endpoint, payload))
-        translations = resp.get("translations")
-        if not isinstance(translations, list) or not all(
-            isinstance(t, str) for t in translations
-        ):
-            raise ProviderError(f"malformed translation response: {resp!r}")
-        for text in translations:
-            _refuse_unencodable(text)
-        if len(translations) != len(chunk):
-            raise ProviderError(
-                f"count mismatch: sent {len(chunk)} texts, got {len(translations)} translations"
-            )
-        out.extend(translations)
+        n = len(chunk)
+        read = lambda resp: _encodable(_list(resp, "translations", _is_str, f"{n} strings", n))
+        out += _request(cfg, payload, read, transport)
     return out
 
 

@@ -258,6 +258,8 @@ def _load_json(path: str | Path, what: str, build: Callable[[dict], _T]) -> _T:
 
 
 def _get(obj: dict, key: str):
+    if not isinstance(obj, dict):  # a provider reply may be any JSON value
+        raise DataError(f"expected an object holding key {key!r}")
     if key not in obj:
         raise DataError(f"missing key {key!r}")
     return obj[key]
@@ -279,6 +281,10 @@ def _int(obj: dict, key: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise DataError(f"key {key!r} is not an integer")
     return value
+
+
+def _is_obj(value: object) -> bool:
+    return isinstance(value, dict)
 
 
 def _is_str(value: object) -> bool:
@@ -322,6 +328,9 @@ def _write_atomic_text(path: Path, content: str) -> None:
         with open(tmp, "x", encoding="utf-8", newline="") as fh:
             fh.write(content)
         os.replace(tmp, path)
+    except OSError as exc:  # name the file asked for, not the temp file
+        tmp.unlink(missing_ok=True)
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

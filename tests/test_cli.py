@@ -540,6 +540,24 @@ class TestEval:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_object_reply_exit_2(self, tmp_path, dataset_path, monkeypatch, capsys):
+        class Reply:
+            status_code = 200
+
+            def json(self):
+                return []
+
+        monkeypatch.setattr("requests.post", lambda *args, **kwargs: Reply())
+        endpoint = "https://svc.test/v1/embeddings"
+        config = write_config(tmp_path / "cfg.json", embedding={"endpoint": endpoint, "model_id": "e"})
+        out = tmp_path / "r.json"
+        code = run(["eval", "--dataset", str(dataset_path), "--config", str(config),
+                    "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed embedding response from {endpoint}: ")
+        assert "Traceback" not in err and not out.exists()
+
 
 class TestPivotAndCompare:
     def test_identity_pivot_matches_direct(self, tmp_path, dataset_path, capsys):
@@ -1460,6 +1478,7 @@ class TestArgumentHandling:
                 {"generation": {"language_names": [["de", "German"]]}},
                 "section 'generation': key 'language_names' is not a string-to-string object",
             ),
+            ({"analysis": {"seed": -1}}, "section 'analysis': key 'seed' is not an integer >= 0"),
         ],
     )
     def test_bad_config_value_exit_1(self, tmp_path, sections, message, capsys):
@@ -1515,6 +1534,81 @@ class TestArgumentHandling:
         code = run(["validate", "--dataset", str(tmp_path / "absent.jsonl")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestFlagsAndOutputs:
+    """A bad flag value or an output path that names an input exits 1 before
+    any work, with no traceback, and leaves every input as it was."""
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [("norm", "--seed", "-1"), ("generate", "--seed", "-5"), ("pivot", "--pivot-lang", "")],
+    )
+    def test_bad_flag_value_exit_1(
+        self, tmp_path, dataset_path, replay_path, command, flag, value, capsys
+    ):
+        config = write_config(tmp_path / "cfg.json", replay=replay_path, translation=True)
+        out = tmp_path / "out.json"
+        argv = {
+            "norm": ["norm", "--corpus", str(CORPUS_PATH), "--backend", "lexical"],
+            "generate": ["generate", "--corpus", str(CORPUS_PATH), "--config", str(config)],
+            "pivot": ["pivot", "--dataset", str(dataset_path), "--config", str(config)],
+        }[command]
+        assert run([*argv, flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected " in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_config_seed_exit_1(self, tmp_path, capsys):
+        config = write_config(tmp_path / "cfg.json", analysis={"seed": -1})
+        code = run(["norm", "--corpus", str(CORPUS_PATH), "--backend", "lexical",
+                    "--config", str(config), "--out", str(tmp_path / "n.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: section 'analysis': key 'seed' is not an")
+
+    @pytest.mark.parametrize("out_name", ["d.jsonl", "r.json", "d.jsonl.manifest.json"])
+    def test_out_naming_an_input_exit_1(self, tmp_path, dataset_path, out_name, capsys):
+        dataset, report = tmp_path / "d.jsonl", tmp_path / "r.json"
+        shutil.copy(dataset_path, dataset)
+        assert run(["eval", "--dataset", str(dataset), "--backend", "lexical",
+                    "--out", str(report)]) == 0
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        if out_name == "r.json":
+            argv, flag, target = ["report", "--inputs", str(report)], "--inputs", report
+        else:  # d.jsonl itself, or an output whose manifest is d.jsonl
+            argv = ["eval", "--dataset", str(dataset), "--backend", "lexical"]
+            flag, target = "--dataset", dataset
+        out = str(tmp_path / out_name).removesuffix(".manifest.json")
+        capsys.readouterr()
+        assert run([*argv, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --out {out} would overwrite {target}, the {flag} file\n"
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_bins_id_mismatch_names_both_files(self, tmp_path, dataset_path, capsys):
+        report = tmp_path / "r.json"
+        assert run(["eval", "--dataset", str(dataset_path), "--backend", "lexical",
+                    "--out", str(report)]) == 0
+        lines = dataset_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = json.loads(lines[0])
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text(json.dumps({**first, "id": "zz"}) + "\n" + "".join(lines[1:]),
+                           encoding="utf-8")
+        capsys.readouterr()
+        code = run(["bins", "--report", str(report), "--dataset", str(dataset),
+                    "--out", str(tmp_path / "b.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: report {report} and dataset {dataset} cover different instance ids: "
+            f"report {report} lacks ['zz'], dataset {dataset} lacks [{first['id']!r}]\n"
+        )
+
+    def test_out_in_a_missing_directory_names_the_out_file(self, tmp_path, dataset_path, capsys):
+        out = tmp_path / "missing" / "s.json"
+        assert run(["stats", "--dataset", str(dataset_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{out}'" in err and ".tmp" not in err
 
 
 class TestEmbedderSelection:

@@ -337,7 +337,8 @@ class TestPivotDataset:
 
         pivoted, skipped = pivot_dataset(dataset, fake_translator(translate), "en")
         assert [p.id for p in pivoted] == [dataset[0].id, dataset[2].id]
-        assert skipped == [(bad_id, "count mismatch: sent 5 texts, got 4 translations")]
+        assert skipped == [(bad_id, "malformed translation response from fake://mt: "
+                                    "key 'translations' is not a list of 5 strings")]
 
     def test_wrong_source_count_skips_only_that_instance(self):
         dataset = self.make_direct()
@@ -350,7 +351,8 @@ class TestPivotDataset:
 
         pivoted, skipped = pivot_dataset(dataset, fake_translator(translate), "en")
         assert [p.id for p in pivoted] == [dataset[0].id, dataset[1].id]
-        assert skipped == [(bad_id, "count mismatch: sent 1 texts, got 2 translations")]
+        assert skipped == [(bad_id, "malformed translation response from fake://mt: "
+                                    "key 'translations' is not a list of 1 strings")]
 
     def test_empty_translation_skips_only_that_instance(self):
         dataset = self.make_direct(n=2)

@@ -323,7 +323,7 @@ class TestEmbedBatch:
         cache = EmbeddingCache(tmp_path / "cache")
         entries = [{"index": 0, "embedding": [1.0, 0.0]}, {"index": index, "embedding": [0.0, 1.0]}]
         transport = RecordingTransport([{"data": entries}])
-        with pytest.raises(ProviderError, match="malformed embedding entry"):
+        with pytest.raises(ProviderError, match=r"data\[1\]: key 'index' is not (an integer|in 0..1)"):
             embed_batch(cfg, ["a", "b"], cache=cache, transport=transport)
         assert cache.get(cfg.endpoint, cfg.model_id, "a") is None
 
@@ -338,7 +338,7 @@ class TestEmbedBatch:
 
     def test_wrong_entry_count_rejected(self):
         transport = RecordingTransport([{"data": [{"index": 0, "embedding": [1.0]}]}] * 3)
-        with pytest.raises(ProviderError, match="1 entries for 2 inputs"):
+        with pytest.raises(ProviderError, match="key 'data' is not a list of 2 objects"):
             embed_batch(embedding_config(), ["a", "b"], transport=transport)
 
     def test_dimension_mismatch_rejected(self):
@@ -387,7 +387,7 @@ class TestEmbedBatch:
         cache = EmbeddingCache(tmp_path / "cache")
         good = {"index": 0, "embedding": [1.0, 0.0]}
         transport = RecordingTransport([{"data": [good, {"index": 1, "embedding": embedding}]}])
-        with pytest.raises(ProviderError, match="entry 1 is not a non-empty finite 1-d vector"):
+        with pytest.raises(ProviderError, match=r"data\[1\]: key 'embedding' is not a non-empty"):
             embed_batch(cfg, ["a", "b"], cache=cache, transport=transport)
         assert len(transport.calls) == 1
         assert cache.get(cfg.endpoint, cfg.model_id, "b") is None
@@ -826,7 +826,7 @@ class TestTranslateBatch:
 
     def test_count_mismatch_rejected(self):
         transport = RecordingTransport([{"translations": ["only one"]}])
-        with pytest.raises(ProviderError, match="count mismatch"):
+        with pytest.raises(ProviderError, match="key 'translations' is not a list of 2 strings"):
             translate_batch(
                 self.translation_config(), ["a", "b"], "fr", "en", transport=transport
             )
@@ -840,6 +840,89 @@ class TestTranslateBatch:
     def test_kind_checked(self):
         with pytest.raises(DataError):
             translate_batch(embedding_config(), ["x"], "fr", "en")
+
+
+_ONE = {"index": 0, "embedding": [1.0, 0.0]}
+_CHAT = "https://svc.test/v1/chat"
+_MT = "https://svc.test/v1/translate"
+
+
+def _second(entry):
+    return {"data": [_ONE, {"index": 1, "embedding": [0.0, 1.0], **entry}]}
+
+
+# (kind, reply, what the message names after the endpoint)
+MALFORMED_REPLIES = [
+    ("embedding", [], "expected an object holding key 'data'"),
+    ("embedding", None, "expected an object holding key 'data'"),
+    ("embedding", {}, "missing key 'data'"),
+    ("embedding", {"data": [_ONE]}, "key 'data' is not a list of 2 objects"),
+    ("embedding", {"data": [_ONE, 5]}, "key 'data' is not a list of 2 objects"),
+    ("embedding", {"data": [_ONE, {"index": 1}]}, r"data\[1\]: missing key 'embedding'"),
+    ("embedding", _second({"embedding": [10**400, 0.0]}), r"data\[1\]: key 'embedding' is not"),
+    ("embedding", _second({"embedding": []}), r"data\[1\]: key 'embedding' is not"),
+    ("embedding", _second({"embedding": [nan, 0.0]}), r"data\[1\]: key 'embedding' is not"),
+    ("embedding", _second({"embedding": ["x", 0.0]}), r"data\[1\]: key 'embedding' is not"),
+    ("embedding", _second({"index": True}), r"data\[1\]: key 'index' is not an integer"),
+    ("embedding", _second({"index": 2}), r"data\[1\]: key 'index' is not in 0..1"),
+    ("embedding", _second({"index": 0}), "embedding response misses an index"),
+    ("translation", "x", "expected an object holding key 'translations'"),
+    ("translation", {}, "missing key 'translations'"),
+    ("translation", {"translations": ["x"]}, "key 'translations' is not a list of 2 strings"),
+    ("translation", {"translations": ["x", 5]}, "key 'translations' is not a list of 2 strings"),
+    ("chat", None, "expected an object holding key 'choices'"),
+    ("chat", {"choices": []}, "key 'choices' is an empty list"),
+    ("chat", {"choices": [{}]}, r"choices\[0\]: missing key 'message'"),
+    ("chat", {"choices": [{"message": "hi"}]}, r"choices\[0\]: expected an object holding"),
+    ("chat", {"choices": [{"message": {"content": 5}}]}, r"choices\[0\]: key 'content' is not a"),
+    ("chat", {"choices": [{"message": {"content": " "}}]}, "empty completion"),
+]
+
+
+@pytest.mark.parametrize("kind,reply,what", MALFORMED_REPLIES)
+def test_malformed_reply_is_a_provider_error_naming_the_endpoint(kind, reply, what, tmp_path):
+    """Every reply is read once, after the retries, under one rule; nothing
+    of a refused embedding reply is cached."""
+    calls = []
+
+    def transport(endpoint, payload):
+        calls.append(endpoint)
+        return reply
+
+    cache = EmbeddingCache(tmp_path / "cache")
+    endpoint = {"embedding": embedding_config().endpoint, "chat": _CHAT, "translation": _MT}[kind]
+    with pytest.raises(ProviderError, match=f"^malformed {kind} response from {endpoint}: {what}"):
+        if kind == "embedding":
+            embed_batch(embedding_config(), ["a", "b"], cache=cache, transport=transport)
+        elif kind == "translation":
+            cfg = ProviderConfig(kind=kind, endpoint=endpoint, model_id="mt-1")
+            translate_batch(cfg, ["a", "b"], "fr", "en", transport=transport)
+        else:
+            cfg = ProviderConfig(kind=kind, endpoint=endpoint, model_id="chat-1")
+            chat_complete(cfg, [("user", "f")], transport=transport)
+    assert calls == [endpoint]
+    db = sqlite3.connect(tmp_path / "cache" / "cache.sqlite3")
+    assert db.execute("SELECT COUNT(*) FROM embeddings").fetchone() == (0,)
+    db.close()
+
+
+def test_one_request_path():
+    """Only ``_request`` picks how a request is answered: the public calls hold
+    no offline scheme and call neither the retry loop nor the HTTP transport,
+    and the reply readers check no type themselves."""
+    tree = ast.parse(Path(providers.__file__).read_text(encoding="utf-8"))
+    callers: dict[str, set[str]] = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Name) and node.id in ("_with_retries", "_http_transport"):
+                    callers.setdefault(node.id, set()).add(fn.name)
+            if fn.name in ("embed_batch", "chat_complete", "translate_batch"):
+                text = ast.unparse(fn.body[1:])  # after the docstring
+                assert "replay" not in text and "identity" not in text, fn.name
+            if fn.name.startswith("_read"):  # reply values go through records' readers
+                assert "isinstance" not in ast.unparse(fn), fn.name
+    assert callers == {"_with_retries": {"_request"}, "_http_transport": {"_request"}}
 
 
 class TestAuth:
