@@ -254,6 +254,19 @@ def _build_table(records: Sequence[ShiftRecord]) -> ShiftTable:
     return ShiftTable(records=tuple(records), groups=tuple(groups))
 
 
+def check_norm(
+    norm: NormalizationFactor, embedder: Embedder, instances: Sequence[ClsdInstance]
+) -> None:
+    """Refuse a norm computed for another model than ``embedder``'s, or for
+    another direction than one of ``instances``: its value would not apply."""
+    if norm.model_id != embedder.model_id:
+        raise DataError(f"norm is for model {norm.model_id!r}, not {embedder.model_id!r}")
+    others = {(i.source.lang, i.target.lang) for i in instances} - {tuple(norm.direction)}
+    if others:
+        where = ", ".join("->".join(d) for d in sorted(others))
+        raise DataError(f"norm is for direction {'->'.join(norm.direction)}, not {where}")
+
+
 def shift_analysis(
     embedder: Embedder,
     dataset: Sequence[ClsdInstance],
@@ -265,7 +278,8 @@ def shift_analysis(
     Every annotation must resolve to an instance and to a pair the
     tokenizer itself sees as a single-token swap at the annotated position;
     any disagreement between annotation and tokenizer is an error, never
-    silently dropped.
+    silently dropped. The caller checks that the norm fits the embedder and
+    those instances (:func:`check_norm`).
     """
     if not annotations:
         raise DataError("shift_analysis requires at least one annotation")

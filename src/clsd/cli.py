@@ -337,6 +337,9 @@ def _cmd_shift(args: argparse.Namespace, config: RunConfig) -> tuple[str, None]:
     annotations = rec.load_annotations(args.annotations)
     norm = ana.load_normalization(args.norm)
     embedder = _embedder(args.backend, config)
+    annotated = {a.instance_id for a in annotations}
+    with rec._context(str(args.norm)):
+        ana.check_norm(norm, embedder, [i for i in dataset if i.id in annotated])
     with rec._context(str(args.annotations)):  # its data errors all concern an annotation
         table = ana.shift_analysis(embedder, dataset, annotations, norm)
     rec._write_atomic_text(Path(args.out), ana.shift_table_to_csv(table))

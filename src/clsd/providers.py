@@ -21,11 +21,12 @@ Offline endpoint schemes, used by tests and desk-scale runs:
 
 Every request goes through :func:`_request`: ``replay:`` and ``identity:``
 are asked once, other endpoints are retried, and each reply is read with the
-``records`` readers. A malformed reply, such as an embedding that is not a
-non-empty finite vector (refused before it is cached) or text UTF-8 cannot
-encode, is a :class:`ProviderError` naming the endpoint. Every embedder
-returns one read-only ``(n, d)`` float64 matrix per batch, row ``i`` for text
-``i``, and carries ``backend_id`` and ``model_id``.
+``records`` readers; only :func:`_http_transport`, on ``urllib.request``,
+opens a socket, and it follows no redirect. A malformed reply, such as an
+embedding that is not a non-empty finite vector (refused before it is cached)
+or text UTF-8 cannot encode, is a :class:`ProviderError` naming the endpoint.
+Every embedder returns one read-only ``(n, d)`` float64 matrix per batch, row
+``i`` for text ``i``, and carries ``backend_id`` and ``model_id``.
 
 API keys are read from the environment variable named in the config and are
 never written to disk. Batch operations preserve input order regardless of
@@ -53,7 +54,8 @@ from typing import Callable, Protocol, Sequence, TypeVar
 import numpy as np
 
 from .errors import DataError, ProviderError
-from .records import _context, _get, _int, _is_obj, _is_str, _list, _load_jsonl, _str
+from .records import _context, _get, _int, _is_obj, _is_reals, _is_str, _json_value, _list
+from .records import _load_jsonl, _str
 
 KIND_EMBEDDING = "embedding"
 KIND_CHAT = "chat"
@@ -117,39 +119,46 @@ def _auth_headers(cfg: ProviderConfig) -> dict[str, str]:
 
 
 def _http_transport(cfg: ProviderConfig) -> Transport:
-    import requests
+    from http.client import HTTPException
+    from urllib.error import HTTPError
+    from urllib.parse import urlsplit
+    from urllib.request import HTTPRedirectHandler, Request, build_opener
 
+    class Unfollowed(HTTPRedirectHandler):  # a 3xx stays an HTTPError: the key goes nowhere else
+        def redirect_request(self, *args) -> None:
+            return None
+
+    urlopen = build_opener(Unfollowed).open
     headers = {"Content-Type": "application/json", **_auth_headers(cfg)}
 
     def post(endpoint: str, payload: dict) -> dict:
-        try:
-            resp = requests.post(
-                endpoint, json=payload, headers=headers, timeout=_REQUEST_TIMEOUT_S
-            )
-        except (
-            requests.exceptions.MissingSchema,
-            requests.exceptions.InvalidSchema,
-            requests.exceptions.InvalidURL,
-        ) as exc:
-            # raised before any socket opens: the endpoint itself is wrong
+        try:  # checked before any socket opens; reading ``port`` checks it too
+            url = urlsplit(endpoint)
+            plain = endpoint.isascii() and endpoint.isprintable() and " " not in endpoint
+            if not (plain and url.scheme in ("http", "https") and url.hostname) or url.port == 0:
+                raise ValueError("expected an http(s) URL with a host, in ASCII without spaces")
+        except ValueError as exc:
             raise _PermanentProviderError(f"invalid endpoint {endpoint!r}: {exc}") from exc
-        except requests.RequestException as exc:
-            raise ProviderError(f"transport failure for {endpoint}: {exc}") from exc
-        if resp.status_code >= 500:
-            raise ProviderError(f"{endpoint} returned {resp.status_code}")
-        if resp.status_code in (408, 429):
-            # request timeout / too many requests: the server asks to come back
-            raise _RetryLaterError(
-                f"{endpoint} returned {resp.status_code}",
-                _retry_after_s(resp.headers.get("Retry-After", "")),
-            )
-        if resp.status_code >= 400:
-            # Client errors are not retryable; fail loudly with the payload.
-            raise _PermanentProviderError(
-                f"{endpoint} rejected request ({resp.status_code}): {resp.text[:500]}"
-            )
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         try:
-            return resp.json()
+            try:
+                with urlopen(Request(endpoint, body, headers), timeout=_REQUEST_TIMEOUT_S) as resp:
+                    status, reply, data = resp.status, resp.headers, resp.read()
+            except HTTPError as exc:  # any status but 2xx; it holds the open response
+                with exc:
+                    status, reply, data = exc.code, exc.headers, exc.read()
+        except (HTTPException, OSError) as exc:  # URLError is an OSError
+            raise ProviderError(f"transport failure for {endpoint}: {exc}") from exc
+        if status >= 500:
+            raise ProviderError(f"{endpoint} returned {status}")
+        if status in (408, 429):  # request timeout / too many requests: come back later
+            wait_s = _retry_after_s(reply.get("Retry-After", ""))
+            raise _RetryLaterError(f"{endpoint} returned {status}", wait_s)
+        if status >= 300:  # client errors and redirects are not retried; show the payload
+            text = data.decode("utf-8", "replace")[:500]
+            raise _PermanentProviderError(f"{endpoint} rejected request ({status}): {text}")
+        try:
+            return _json_value(data)
         except ValueError as exc:
             raise ProviderError(f"{endpoint} returned non-JSON body") from exc
 
@@ -332,12 +341,14 @@ def _read_embeddings(resp: dict, n: int) -> list[np.ndarray]:
             index, embedding = _int(entry, "index"), _get(entry, "embedding")
             if not 0 <= index < n:
                 raise DataError(f"key 'index' is not in 0..{n - 1}")
-            try:  # one conversion per vector, not one check per value
-                values = np.asarray(embedding, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):
-                values = np.empty(0)
+            values = np.empty(0)
+            if _is_reals(embedding):  # one type check per list, not one per value
+                try:
+                    values = np.fromiter(embedding, np.float64, len(embedding))
+                except OverflowError:  # an integer beyond float range
+                    pass
             # checked before the cache sees it: a cached row is read back flat
-            if values.ndim != 1 or values.size < 1 or not np.isfinite(values).all():
+            if values.size < 1 or not np.isfinite(values).all():
                 raise DataError("key 'embedding' is not a non-empty list of finite numbers")
         except DataError:
             with _context(f"data[{i}]"):  # built on the error path only
@@ -401,6 +412,7 @@ def embed_batch(
 
 
 DEFAULT_LEXICAL_DIM = 512
+MAX_LEXICAL_DIM = 65_536  # a 512 KB row; the widest in use is 1,024
 
 # Fixed, documented hash seed: the lexical embedder must give byte-identical
 # vectors on every platform and run.
@@ -416,7 +428,8 @@ def _lexical_bucket(gram: str, dim: int) -> int:
 def lexical_dim(spec: str) -> int | None:
     """Dimension named by a ``lexical`` / ``lexical:<dim>`` spec, else ``None``.
 
-    ``lexical`` and ``lexical:`` mean :data:`DEFAULT_LEXICAL_DIM`.
+    ``lexical`` and ``lexical:`` mean :data:`DEFAULT_LEXICAL_DIM`; a dim
+    above :data:`MAX_LEXICAL_DIM` is refused before it is converted.
     """
     scheme, _, dim = spec.partition(":")
     if scheme != "lexical":
@@ -425,6 +438,8 @@ def lexical_dim(spec: str) -> int | None:
         return DEFAULT_LEXICAL_DIM
     if not dim.isdecimal():
         raise DataError(f"bad lexical spec {spec!r}: expected lexical[:dim]")
+    if len(dim.lstrip("0")) > len(str(MAX_LEXICAL_DIM)) or int(dim) > MAX_LEXICAL_DIM:
+        raise DataError(f"bad lexical spec: dim must be at most {MAX_LEXICAL_DIM}")
     return int(dim)
 
 

@@ -176,10 +176,10 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 # File plumbing: JSONL records and JSON documents
 
-def _refuse_lone_surrogates(obj: object, text: str, where: str) -> None:
+def _refuse_lone_surrogates(obj: object, escaped: bool, where: str) -> None:
     # strict UTF-8 decoding refuses encoded surrogates, so a lone one can
-    # only come from a \u escape, and no output could encode it
-    if "\\u" in text:
+    # only come from a \u escape (``escaped``), and no output could encode it
+    if escaped:
         try:
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -198,7 +198,7 @@ def _read_lines(path: Path) -> Iterator[tuple[int, dict]]:
                     raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
                 if not isinstance(obj, dict):
                     raise DataError(f"{path}:{lineno}: record is not a JSON object")
-                _refuse_lone_surrogates(obj, line, f"{path}:{lineno}")
+                _refuse_lone_surrogates(obj, "\\u" in line, f"{path}:{lineno}")
                 yield lineno, obj
     except UnicodeDecodeError:
         # the text layer decodes ahead in chunks, so find the line again,
@@ -242,15 +242,20 @@ def _load_jsonl(path: str | Path, build: Callable[[dict], _T]) -> list[_T]:
     return out
 
 
+def _json_value(data: bytes) -> object:
+    """The JSON value of UTF-8 ``data`` (RFC 8259 section 8.1), else a ``ValueError``."""
+    return json.loads(data.decode("utf-8"))
+
+
 def _load_json(path: str | Path, what: str, build: Callable[[dict], _T]) -> _T:
     """``build(obj)`` for the JSON object in ``path``; a :class:`DataError`
     names the file, then ``what`` unless it is empty."""
+    data = Path(path).read_bytes()
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        obj = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        obj = _json_value(data)
+    except ValueError as exc:
         raise DataError(f"{path}: invalid JSON: {exc}") from exc
-    _refuse_lone_surrogates(obj, text, str(path))
+    _refuse_lone_surrogates(obj, b"\\u" in data, str(path))
     with _context(f"{path}: {what}" if what else str(path)):
         if not isinstance(obj, dict):
             raise DataError("not a JSON object")
@@ -296,6 +301,12 @@ def _is_real(value: object) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     return abs(value) <= sys.float_info.max  # false for NaN, infinities and huge ints
+
+
+def _is_reals(values: object) -> bool:
+    """A list of numbers alone, one type check per distinct type rather than
+    per value; a bool is not a number here. Their size is the caller's check."""
+    return type(values) is list and set(map(type, values)) <= {int, float}
 
 
 def _real(obj: dict, key: str) -> float:

@@ -3,7 +3,8 @@
 The 20-pair DE-FR corpus, the distractor table, and the token-swap
 annotations live under ``tests/data/``. A session-scoped replay file turns
 the distractor table into a scripted chat provider so generation runs fully
-offline. Frozen regression constants were produced by one audited run of
+offline, and a scripted HTTP service on 127.0.0.1 answers the real
+transport. Frozen regression constants were produced by one audited run of
 the deterministic lexical baseline and must never be edited to make a test
 pass.
 """
@@ -11,6 +12,9 @@ pass.
 from __future__ import annotations
 
 import json
+import os
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -160,3 +164,75 @@ def replay_path(tmp_path_factory, fixture_corpus, distractor_table) -> Path:
 @pytest.fixture(scope="session")
 def generation_config(replay_path) -> GenerationConfig:
     return make_generation_config(replay_path)
+
+
+# ---------------------------------------------------------------------------
+# A scripted HTTP service on the loopback interface
+
+def http_reply(status, body=None, headers=None, delay=0.0):
+    """One scripted reply: a body that is not bytes is sent as JSON, and the
+    reply waits ``delay`` seconds before its status line. A ``Content-Length``
+    header longer than the body truncates it."""
+    data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
+    return status, headers or {}, data, delay
+
+
+class LoopbackService:
+    """An HTTP/1.0 server that answers each POST or GET with the next
+    scripted :func:`http_reply` and records each request as ``(headers, body)``."""
+
+    def __init__(self) -> None:
+        self.replies: list[tuple] = []
+        self.requests: list[tuple] = []
+        service = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                service.requests.append((self.headers, body))
+                status, headers, data, delay = service.replies.pop(0)
+                threading.Event().wait(delay)  # time.sleep may be patched by a test
+                self.send_response(status)
+                for name, value in {"Content-Length": str(len(data)), **headers}.items():
+                    self.send_header(name, value)
+                self.end_headers()
+                self.wfile.write(data)
+
+            do_GET = do_POST  # a followed redirect would arrive as a GET
+
+            def log_message(self, *args):
+                pass
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        # a client that timed out has closed its socket: the late write may fail
+        self.server.handle_error = lambda request, address: None
+        self.url = f"http://127.0.0.1:{self.server.server_port}/v1/embeddings"
+
+    def script(self, *replies) -> list[tuple]:
+        """Answer the next requests with ``replies``; the recorded requests."""
+        self.replies[:] = replies
+        self.requests.clear()
+        return self.requests
+
+
+@pytest.fixture(scope="session")
+def _loopback():
+    service = LoopbackService()
+    thread = threading.Thread(
+        target=service.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
+    thread.start()
+    yield service
+    service.server.shutdown()
+    service.server.server_close()
+    thread.join()
+
+
+@pytest.fixture
+def http_service(_loopback, monkeypatch) -> LoopbackService:
+    """The loopback service with an empty script, reached without a proxy."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):  # urllib routes through these
+            monkeypatch.delenv(name)
+    _loopback.script()
+    return _loopback

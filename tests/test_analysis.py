@@ -14,6 +14,7 @@ from clsd.analysis import (
     ShiftTable,
     SuccessDistributionTable,
     _build_table,
+    check_norm,
     cross_shift,
     derangement,
     load_normalization,
@@ -426,6 +427,17 @@ class TestShiftAnalysis:
         )
         with pytest.raises(DataError, match="disagrees with tokenizer"):
             shift_analysis(embedder, dataset, [wrong], unit_norm())
+
+    @pytest.mark.parametrize(
+        "norm,what",
+        [(NormalizationFactor(1.0, "other-1", ("de", "fr"), 2, 2, 0), "model 'other-1'"),
+         (unit_norm(direction=("fr", "de")), "direction fr->de, not de->fr")],
+    )
+    def test_norm_of_another_model_or_direction_rejected(self, norm, what):
+        embedder, dataset, _ = self.synthetic_setup()
+        check_norm(unit_norm(), embedder, dataset)
+        with pytest.raises(DataError, match=f"^norm is for {what}"):
+            check_norm(norm, embedder, dataset)
 
     def test_empty_annotations_rejected(self):
         embedder, dataset, _ = self.synthetic_setup()

@@ -47,6 +47,7 @@ from conftest import (
     LINKSPARTEI_D1,
     LINKSPARTEI_D2,
     LINKSPARTEI_TARGET,
+    http_reply,
 )
 
 
@@ -540,16 +541,12 @@ class TestEval:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_non_object_reply_exit_2(self, tmp_path, dataset_path, monkeypatch, capsys):
-        class Reply:
-            status_code = 200
-
-            def json(self):
-                return []
-
-        monkeypatch.setattr("requests.post", lambda *args, **kwargs: Reply())
-        endpoint = "https://svc.test/v1/embeddings"
-        config = write_config(tmp_path / "cfg.json", embedding={"endpoint": endpoint, "model_id": "e"})
+    def test_non_object_reply_exit_2(self, tmp_path, dataset_path, http_service, capsys):
+        posts = http_service.script(http_reply(200, []))
+        endpoint = http_service.url
+        # one request for the whole dataset: one scripted reply answers it
+        embedding = {"endpoint": endpoint, "model_id": "e", "max_batch": 256}
+        config = write_config(tmp_path / "cfg.json", embedding=embedding)
         out = tmp_path / "r.json"
         code = run(["eval", "--dataset", str(dataset_path), "--config", str(config),
                     "--out", str(out)])
@@ -557,6 +554,7 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed embedding response from {endpoint}: ")
         assert "Traceback" not in err and not out.exists()
+        assert len(posts) == 1
 
 
 class TestPivotAndCompare:
@@ -854,6 +852,27 @@ class TestShiftCommand:
             ]
         )
         assert again.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("mismatch", ["model", "direction"])
+    def test_norm_of_another_model_or_direction_exit_1(
+        self, tmp_path, dataset_path, mismatch, capsys
+    ):
+        norm = tmp_path / "norm.json"
+        argv = ["norm", "--corpus", str(CORPUS_PATH), "--backend", "lexical:128", "--seed", "17"]
+        assert run([*argv, "--out", str(norm)]) == 0
+        backend, expected = "lexical:1024", "model 'char3gram-128', not 'char3gram-1024'"
+        if mismatch == "direction":
+            doc = json.loads(norm.read_text(encoding="utf-8"))
+            norm.write_text(json.dumps({**doc, "direction": ["fr", "de"]}), encoding="utf-8")
+            backend, expected = "lexical:128", "direction fr->de, not de->fr"
+        out = tmp_path / "shift.csv"
+        code = run(["shift", "--dataset", str(dataset_path), "--annotations",
+                    str(ANNOTATIONS_PATH), "--norm", str(norm), "--backend", backend,
+                    "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {norm}: norm is for {expected}")
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestBinsCommand:
@@ -1540,6 +1559,18 @@ class TestFlagsAndOutputs:
     """A bad flag value or an output path that names an input exits 1 before
     any work, with no traceback, and leaves every input as it was."""
 
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("dim", ["65537", "9" * 5000], ids=["65537", "5000-nines"])
+    def test_lexical_dim_above_bound_exit_1(self, tmp_path, dataset_path, route, dim, capsys):
+        spec = f"lexical:{dim}"
+        config = write_config(tmp_path / "cfg.json", embedding={"endpoint": spec, "model_id": "m"})
+        backend = ["--backend", spec] if route == "flag" else ["--config", str(config)]
+        out = tmp_path / "r.json"
+        assert run(["eval", "--dataset", str(dataset_path), *backend, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad lexical spec: dim must be at most 65536")
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize(
         "command,flag,value",
         [("norm", "--seed", "-1"), ("generate", "--seed", "-5"), ("pivot", "--pivot-lang", "")],
@@ -1655,6 +1686,7 @@ class TestConsoleScript:
         with pyproject.open("rb") as fh:
             meta = tomllib.load(fh)
         assert "version" not in meta["project"]
+        assert meta["project"]["dependencies"] == ["numpy>=1.24"]
         assert "version" in meta["project"]["dynamic"]
         assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "clsd.__version__"}
 

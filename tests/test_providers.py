@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import os
+import socket
 import sqlite3
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from clsd.evaluator import pivot_dataset
 from clsd.generator import GenerationConfig, generate_dataset, generate_instance
 from clsd.providers import (
     DEFAULT_LEXICAL_DIM,
+    MAX_LEXICAL_DIM,
     ChatParams,
     EmbeddingCache,
     LexicalEmbedder,
@@ -43,7 +45,7 @@ from clsd.records import (
     save_clsd_dataset,
 )
 
-from conftest import FROZEN_LEXICAL_COSINE_ABCD_ABCE
+from conftest import FROZEN_LEXICAL_COSINE_ABCD_ABCE, http_reply
 
 
 def embedding_config(**overrides) -> ProviderConfig:
@@ -255,11 +257,12 @@ class TestLexicalEmbedder:
 
     def test_lexical_dim_parses_specs(self):
         assert lexical_dim("lexical:32") == 32
+        assert lexical_dim("lexical:0065536") == MAX_LEXICAL_DIM == 65536
         assert lexical_dim("lexical") == DEFAULT_LEXICAL_DIM
         assert lexical_dim("lexical:") == DEFAULT_LEXICAL_DIM
         for other in ("https://svc.test/v1/embeddings", "identity:", "lexicalx:8"):
             assert lexical_dim(other) is None
-        for bad in ("lexical:abc", "lexical:-8", "lexical:8.5"):
+        for bad in ("lexical:abc", "lexical:-8", "lexical:8.5", "lexical:65537"):
             with pytest.raises(DataError, match="bad lexical spec"):
                 lexical_dim(bad)
 
@@ -438,23 +441,25 @@ class TestRetries:
         with pytest.raises(ProviderError, match="lexica:64"):
             embed_batch(cfg, ["a"])
 
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["http://", "ftp://svc.test/x", "http://[::1", "http://svc.test:99999/",
+         "http://svc.test/a b", "http://svc.test/\u00e9", "http://svc.test/\n"],
+    )
+    def test_invalid_endpoint_refused_before_any_socket(self, monkeypatch, endpoint):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a socket was opened")
 
-class FakeResponse:
-    def __init__(self, status_code, body=None, headers=None):
-        self.status_code = status_code
-        self.headers = headers or {}
-        self._body = body
-        self.text = json.dumps(body)
-
-    def json(self):
-        return self._body
+        monkeypatch.setattr("socket.create_connection", no_socket)
+        with pytest.raises(_PermanentProviderError, match="^invalid endpoint "):
+            embed_batch(embedding_config(endpoint=endpoint), ["a"])
 
 
 ONE_EMBEDDING = {"data": [{"index": 0, "embedding": [1.0, 0.0]}]}
 
 
 class TestHttpStatusRetries:
-    """Status handling of the HTTP transport, with ``requests.post`` scripted."""
+    """Status handling of the HTTP transport, against a scripted loopback service."""
 
     @pytest.fixture
     def sleeps(self, monkeypatch):
@@ -463,25 +468,17 @@ class TestHttpStatusRetries:
         return calls
 
     @pytest.fixture
-    def serve(self, monkeypatch):
-        posts = []
+    def serve(self, http_service):
+        return http_service.script
 
-        def install(*responses):
-            queue = list(responses)
-
-            def post(endpoint, json, headers, timeout):
-                posts.append(json)
-                return queue.pop(0)
-
-            monkeypatch.setattr("requests.post", post)
-            return posts
-
-        return install
+    @pytest.fixture
+    def cfg(self, http_service):
+        return embedding_config(endpoint=http_service.url)
 
     @pytest.mark.parametrize("status", [408, 429])
-    def test_retried_then_served(self, serve, sleeps, status):
-        posts = serve(FakeResponse(status), FakeResponse(200, ONE_EMBEDDING))
-        vectors = embed_batch(embedding_config(), ["a"])
+    def test_retried_then_served(self, serve, sleeps, cfg, status):
+        posts = serve(http_reply(status), http_reply(200, ONE_EMBEDDING))
+        vectors = embed_batch(cfg, ["a"])
         assert vectors[0].tolist() == [1.0, 0.0]
         assert len(posts) == 2
         # no Retry-After: the configured backoff, 1 ms plus up to 25% jitter
@@ -492,35 +489,97 @@ class TestHttpStatusRetries:
         [("3", 3.0), (" 7 ", 7.0), ("3600", 60.0), ("0", None), ("1.5", None),
          ("-2", None), ("Wed, 21 Oct 2015 07:28:00 GMT", None)],
     )
-    def test_retry_after_seconds_honoured_and_capped(self, serve, sleeps, header, wait):
-        serve(FakeResponse(429, headers={"Retry-After": header}), FakeResponse(200, ONE_EMBEDDING))
-        embed_batch(embedding_config(), ["a"])
+    def test_retry_after_seconds_honoured_and_capped(self, serve, sleeps, cfg, header, wait):
+        serve(http_reply(429, headers={"Retry-After": header}), http_reply(200, ONE_EMBEDDING))
+        embed_batch(cfg, ["a"])
         assert len(sleeps) == 1
         if wait is None:  # not delay-seconds, or zero: the backoff alone
             assert 0.001 <= sleeps[0] <= 0.00125
         else:
             assert sleeps[0] == wait
 
-    def test_throttled_until_attempts_run_out(self, serve, sleeps):
-        posts = serve(*[FakeResponse(429, headers={"Retry-After": "2"})] * 3)
+    def test_throttled_until_attempts_run_out(self, serve, sleeps, cfg):
+        posts = serve(*[http_reply(429, headers={"Retry-After": "2"})] * 3)
         with pytest.raises(ProviderError, match="giving up after 3 attempts: .* returned 429"):
-            embed_batch(embedding_config(), ["a"])
+            embed_batch(cfg, ["a"])
         assert len(posts) == 3
         assert sleeps == [2.0, 2.0]
 
-    def test_chat_request_retried_after_429(self, serve, sleeps):
+    def test_chat_request_retried_after_429(self, serve, sleeps, http_service):
         reply = {"choices": [{"message": {"content": "1. eins"}}]}
-        posts = serve(FakeResponse(429, headers={"Retry-After": "1"}), FakeResponse(200, reply))
-        cfg = ProviderConfig(kind="chat", endpoint="https://svc.test/v1/chat", model_id="c")
+        posts = serve(http_reply(429, headers={"Retry-After": "1"}), http_reply(200, reply))
+        cfg = ProviderConfig(kind="chat", endpoint=http_service.url, model_id="c")
         assert chat_complete(cfg, [("user", "hallo")]) == "1. eins"
         assert len(posts) == 2 and sleeps == [1.0]
 
     @pytest.mark.parametrize("status", [400, 401, 403, 404, 413, 422])
-    def test_other_client_errors_not_retried(self, serve, sleeps, status):
-        posts = serve(*[FakeResponse(status, {"error": "no"}, {"Retry-After": "1"})] * 3)
+    def test_other_client_errors_not_retried(self, serve, sleeps, cfg, status):
+        posts = serve(*[http_reply(status, {"error": "no"}, {"Retry-After": "1"})] * 3)
         with pytest.raises(_PermanentProviderError, match=f"rejected request \\({status}\\)"):
-            embed_batch(embedding_config(), ["a"])
+            embed_batch(cfg, ["a"])
         assert len(posts) == 1 and sleeps == []
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_not_followed(self, serve, sleeps, cfg, monkeypatch, status):
+        monkeypatch.setenv("CLSD_TEST_KEY", "secret-token")
+        elsewhere = cfg.endpoint.replace("127.0.0.1", "localhost") + "/elsewhere"
+        moved = http_reply(status, {}, {"Location": elsewhere})
+        posts = serve(moved, http_reply(200, ONE_EMBEDDING))
+        keyed = embedding_config(endpoint=cfg.endpoint, api_key_env="CLSD_TEST_KEY")
+        with pytest.raises(_PermanentProviderError, match=f"rejected request \\({status}\\): "):
+            embed_batch(keyed, ["a"])
+        assert len(posts) == 1 and sleeps == []
+
+    def test_server_errors_retried_until_giving_up(self, serve, sleeps, cfg):
+        posts = serve(http_reply(500), http_reply(502), http_reply(503))
+        with pytest.raises(ProviderError, match="giving up after 3 attempts: .* returned 503$"):
+            embed_batch(cfg, ["a"])
+        assert len(posts) == 3 and len(sleeps) == 2
+
+    @pytest.mark.parametrize("body", [b"<html>busy</html>", '{"data": "\xe9"}'.encode("latin-1")])
+    def test_non_json_body_retried(self, serve, sleeps, cfg, body):
+        posts = serve(*[http_reply(200, body)] * 3)
+        with pytest.raises(ProviderError, match="giving up after 3 attempts: .* non-JSON body"):
+            embed_batch(cfg, ["a"])
+        assert len(posts) == 3
+
+    def test_truncated_body_retried(self, serve, sleeps, cfg):
+        short = http_reply(200, b'{"data": [', {"Content-Length": "1000"})
+        posts = serve(short, http_reply(200, ONE_EMBEDDING))
+        assert embed_batch(cfg, ["a"])[0].tolist() == [1.0, 0.0]
+        assert len(posts) == 2 and len(sleeps) == 1
+        serve(short)
+        with pytest.raises(ProviderError, match="transport failure for .*IncompleteRead"):
+            embed_batch(embedding_config(endpoint=cfg.endpoint, retry_attempts=1), ["a"])
+
+    def test_slow_reply_times_out_and_is_retried(self, serve, sleeps, cfg, monkeypatch):
+        # every reply is slow, so no request has to beat the short timeout
+        monkeypatch.setattr("clsd.providers._REQUEST_TIMEOUT_S", 0.3)
+        posts = serve(*[http_reply(200, ONE_EMBEDDING, delay=1.0)] * 2)
+        twice = embedding_config(endpoint=cfg.endpoint, retry_attempts=2)
+        with pytest.raises(ProviderError, match="after 2 attempts: transport failure .*timed out"):
+            embed_batch(twice, ["a"])
+        assert len(posts) == 2 and len(sleeps) == 1
+
+    def test_refused_connection_retried(self, sleeps):
+        with socket.socket() as probe:  # a port that nothing listens on once closed
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        cfg = embedding_config(endpoint=f"http://127.0.0.1:{port}/v1/embeddings")
+        with pytest.raises(ProviderError, match="giving up after 3 attempts: transport failure"):
+            embed_batch(cfg, ["a"])
+        assert len(sleeps) == 2
+
+    def test_bearer_header_and_exact_body_sent(self, serve, cfg, monkeypatch):
+        monkeypatch.setenv("CLSD_TEST_KEY", "secret-token")
+        reply = {"data": [{"index": 1, "embedding": [0.0, 1.0]}, ONE_EMBEDDING["data"][0]]}
+        posts = serve(http_reply(200, reply))
+        keyed = embedding_config(endpoint=cfg.endpoint, api_key_env="CLSD_TEST_KEY")
+        assert embed_batch(keyed, ["a", "\u00fc"]).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        [(headers, body)] = posts
+        assert headers["Authorization"] == "Bearer secret-token"
+        assert headers["Content-Type"] == "application/json"
+        assert body == b'{"model": "emb-1", "input": ["a", "\\u00fc"]}'
 
 
 class TestEmbeddingCache:
@@ -876,6 +935,10 @@ MALFORMED_REPLIES = [
     ("chat", {"choices": [{"message": "hi"}]}, r"choices\[0\]: expected an object holding"),
     ("chat", {"choices": [{"message": {"content": 5}}]}, r"choices\[0\]: key 'content' is not a"),
     ("chat", {"choices": [{"message": {"content": " "}}]}, "empty completion"),
+    # numeric strings and booleans are not numbers
+    ("embedding", _second({"embedding": ["0.5", 0.0]}), r"data\[1\]: key 'embedding' is not"),
+    ("embedding", _second({"embedding": [True, 0.0]}), r"data\[1\]: key 'embedding' is not"),
+    ("embedding", _second({"embedding": [0.5, False]}), r"data\[1\]: key 'embedding' is not"),
 ]
 
 
@@ -923,6 +986,20 @@ def test_one_request_path():
             if fn.name.startswith("_read"):  # reply values go through records' readers
                 assert "isinstance" not in ast.unparse(fn), fn.name
     assert callers == {"_with_retries": {"_request"}, "_http_transport": {"_request"}}
+
+
+def test_no_module_imports_requests():
+    """The one HTTP transport is the standard library's: ``numpy`` is the only
+    runtime dependency."""
+    for module in sorted(Path(clsd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "requests" for n in names), module.name
 
 
 class TestAuth:
